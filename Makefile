@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck version `make lint` and CI both use, so local and CI lint agree.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-barrier bench-scaling bench-smoke bench-profile bench-history test-parallel test-parallel-fused test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
+.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
 
 build:
 	$(GO) build ./...
@@ -75,36 +75,10 @@ bench:
 bench-engine:
 	$(GO) test -run '^$$' -bench BenchmarkEngineIdleSkip -benchmem ./internal/timing
 
-# Barrier-tax micro benchmarks: per-phase executor cost over 72 empty shards
-# at each fusion width, and quiescent-phase elision on a mostly-idle machine.
-# Recorded numbers: BENCH_pr6.json.
-bench-barrier:
-	$(GO) test -run '^$$' -bench 'BenchmarkPhaseBarrier|BenchmarkQuiescentBatch' -benchmem ./internal/timing
-
-# Parallel-executor scaling curve: serial reference plus the sharded executor
-# across a GOMAXPROCS x fusion-width grid, emitted as scaling_curve.json
-# (schema ndpgpu-scaling-v1; uploaded as a CI artifact). Results are
-# bit-identical across all legs by the determinism contract (see README
-# "Parallel execution"); only wall time moves. Recorded numbers:
-# BENCH_pr6.json.
-bench-scaling:
-	$(GO) run ./cmd/ndpreport scaling -out scaling_curve.json
-	@echo "scaling_curve.json written"
-
-# Determinism contract of the sharded executor: every workload x mode leg
-# bit-identical serial vs parallel, plus audited and chaos legs, under the
-# race detector. The fused matrix (fusion widths x quiescence batching) is
-# its own target so CI can run the two suites in parallel.
-test-parallel:
-	$(GO) test -race -run '^TestParallelEquivalence(Audited|Chaos)?$$' -timeout 45m ./internal/sim
-
-test-parallel-fused:
-	$(GO) test -race -run '^TestParallelEquivalenceFused' -timeout 45m ./internal/sim
-
 # Architecture-backend suite: the placement/translation policy unit tests plus
-# the oracle-differential, memory-invariance, and parallel-equivalence legs
-# for every non-default backend (coda, coda-ft, ndpage). The short form runs
-# the VADD subset; CI's backends job runs the full matrix.
+# the oracle-differential and memory-invariance legs for every non-default
+# backend (coda, coda-ft, ndpage). The short form runs the VADD subset; CI's
+# backends job runs the full matrix.
 test-backends:
 	$(GO) test -v ./internal/backend
 	$(GO) test -run '^TestBackend' -timeout 30m -v ./internal/sim

@@ -10,7 +10,6 @@
 //	ndpreport diff -tolprefix 'spans=0.1;series=0.02' a.json b.json
 //	ndpreport golden -out golden.json         # recompute the golden digests
 //	ndpreport benchgate -bench out.txt -ref BENCH_pr4.json
-//	ndpreport scaling -out scaling_curve.json # executor scaling curve
 //	ndpreport bench-history                   # trend table across BENCH_*.json
 //
 // Exit status: 0 success / no drift, 1 drift or gate failure, 2 usage errors.
@@ -28,9 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"ndpgpu/internal/config"
 	"ndpgpu/internal/experiments"
 	"ndpgpu/internal/metrics"
 	"ndpgpu/internal/sim"
@@ -41,7 +38,7 @@ func main() {
 }
 
 func usage(werr io.Writer) int {
-	fmt.Fprintln(werr, "usage: ndpreport <show|diff|golden|benchgate|scaling|bench-history> [flags] [args]")
+	fmt.Fprintln(werr, "usage: ndpreport <show|diff|golden|benchgate|bench-history> [flags] [args]")
 	return 2
 }
 
@@ -58,8 +55,6 @@ func run(args []string, w, werr io.Writer) int {
 		return runGolden(args[1:], w, werr)
 	case "benchgate":
 		return runBenchgate(args[1:], w, werr)
-	case "scaling":
-		return runScaling(args[1:], w, werr)
 	case "bench-history":
 		return runBenchHistory(args[1:], w, werr)
 	default:
@@ -229,160 +224,6 @@ func runGolden(args []string, w, werr io.Writer) int {
 	enc := json.NewEncoder(dst)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(digests); err != nil {
-		fmt.Fprintln(werr, "ndpreport:", err)
-		return 1
-	}
-	return 0
-}
-
-// scalingPoint is one (GOMAXPROCS, fusion width) cell of the scaling curve.
-type scalingPoint struct {
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Fusion     int     `json:"fusion"` // requested FusionWidth (0 = auto)
-	Par        int     `json:"par"`    // Config.Parallel used for the point
-	NsPerOp    float64 `json:"ns_per_op"`
-	VsSerial   float64 `json:"vs_serial"` // ns_per_op / serial_ns_per_op
-}
-
-// scalingDoc is the scaling_curve.json schema.
-type scalingDoc struct {
-	Schema         string         `json:"schema"`
-	HostCPUs       int            `json:"host_cpus"`
-	Workload       string         `json:"workload"`
-	Mode           string         `json:"mode"`
-	Scale          int            `json:"scale"`
-	Reps           int            `json:"reps"`
-	SerialNsPerOp  float64        `json:"serial_ns_per_op"`
-	Curve          []scalingPoint `json:"curve"`
-	QuiescentBatch bool           `json:"quiescent_batch"`
-}
-
-// parseIntList parses "1,2,4" into ints.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad list entry %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runScaling measures the parallel executor's wall-clock cost across a
-// GOMAXPROCS x fusion-width grid (in process, via runtime.GOMAXPROCS) against
-// a serial reference, and emits the curve as JSON. Each point is the best of
-// -reps timed runs — the minimum is the standard noise filter for wall-clock
-// microbenchmarks. The parallel machinery stays engaged even at GOMAXPROCS=1
-// (par is clamped to >= 2), so the curve isolates executor overhead from host
-// parallelism.
-func runScaling(args []string, w, werr io.Writer) int {
-	fs := flag.NewFlagSet("ndpreport scaling", flag.ContinueOnError)
-	fs.SetOutput(werr)
-	out := fs.String("out", "", "write the curve to this file (default stdout)")
-	workload := fs.String("workload", "VADD", "workload abbreviation")
-	modeStr := fs.String("mode", "dyncache", "simulation mode")
-	scale := fs.Int("scale", 1, "problem-size scale factor")
-	procsStr := fs.String("procs", "1,2,4,8", "GOMAXPROCS values, comma-separated")
-	fuseStr := fs.String("fuse", "0,2,8,72", "fusion widths, comma-separated (0 = auto)")
-	reps := fs.Int("reps", 1, "timed repetitions per point (best is kept)")
-	noBatch := fs.Bool("nobatch", false, "disable quiescence-batched phases")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
-		fmt.Fprintln(werr, "usage: ndpreport scaling [-out file] [-workload W] [-mode M] [-procs 1,2,4] [-fuse 0,2,72] [-reps N] [-nobatch]")
-		return 2
-	}
-	procs, err := parseIntList(*procsStr)
-	if err != nil {
-		fmt.Fprintln(werr, "ndpreport:", err)
-		return 2
-	}
-	fuses, err := parseIntList(*fuseStr)
-	if err != nil {
-		fmt.Fprintln(werr, "ndpreport:", err)
-		return 2
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	timePoint := func(cfg config.Config) (float64, error) {
-		m, cfg, err := sim.ParseMode(*modeStr, cfg)
-		if err != nil {
-			return 0, err
-		}
-		best := 0.0
-		for r := 0; r < *reps; r++ {
-			start := time.Now()
-			run := experiments.RunOne(cfg, *workload, m, *scale)
-			d := float64(time.Since(start).Nanoseconds())
-			if run.Err != nil {
-				return 0, run.Err
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	doc := scalingDoc{
-		Schema:         "ndpgpu-scaling-v1",
-		HostCPUs:       runtime.NumCPU(),
-		Workload:       *workload,
-		Mode:           *modeStr,
-		Scale:          *scale,
-		Reps:           *reps,
-		QuiescentBatch: !*noBatch,
-	}
-
-	serialCfg := config.Default()
-	serialCfg.Parallel = 1
-	doc.SerialNsPerOp, err = timePoint(serialCfg)
-	if err != nil {
-		fmt.Fprintln(werr, "ndpreport:", err)
-		return 1
-	}
-	fmt.Fprintf(werr, "scaling: serial %.0f ms/op\n", doc.SerialNsPerOp/1e6)
-
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		for _, fw := range fuses {
-			cfg := config.Default()
-			cfg.Parallel = p
-			if cfg.Parallel < 2 {
-				cfg.Parallel = 2
-			}
-			cfg.FusionWidth = fw
-			cfg.NoQuiescentBatch = *noBatch
-			ns, err := timePoint(cfg)
-			if err != nil {
-				fmt.Fprintln(werr, "ndpreport:", err)
-				return 1
-			}
-			pt := scalingPoint{
-				GOMAXPROCS: p, Fusion: fw, Par: cfg.Parallel,
-				NsPerOp: ns, VsSerial: ns / doc.SerialNsPerOp,
-			}
-			doc.Curve = append(doc.Curve, pt)
-			fmt.Fprintf(werr, "scaling: procs=%d fuse=%d par=%d %.0f ms/op (%.2fx serial)\n",
-				p, fw, pt.Par, ns/1e6, pt.VsSerial)
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-
-	dst := w
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(werr, "ndpreport:", err)
-			return 2
-		}
-		defer f.Close()
-		dst = f
-	}
-	enc := json.NewEncoder(dst)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
 		fmt.Fprintln(werr, "ndpreport:", err)
 		return 1
 	}

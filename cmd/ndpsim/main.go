@@ -5,16 +5,12 @@
 //
 //	ndpsim -workload VADD -mode dyncache -scale 1 [-sms 64] [-nsumhz 350] [-verify]
 //	ndpsim -workload FWT -mode naive -faults 'nsufail:t=2000000:hmc=3;timeout=2000'
-//	ndpsim -workload BFS -mode dyncache -par 8
 //	ndpsim -audit
 //
 // Modes: baseline, morecore, naive, static=<p>, dyn, dyncache.
 //
-// -par N shards the simulation across N worker threads with bit-identical
-// results (see README "Parallel execution"). 0 (the default) picks
-// min(NumCPU, shard count) automatically; 1 forces the serial engine.
-// -fuse bounds the supershard count (0 = auto) and -nobatch disables
-// quiescence-batched phases, mainly for the scaling experiments.
+// A run is single-threaded. To use more cores, run independent simulations
+// side by side: ndpsweep -j N spreads a sweep's runs across N workers.
 //
 // -audit runs the invariant audit suite instead of a single simulation:
 // every Table 1 workload under baseline, naive-NDP, and dynamic-NDP with
@@ -27,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"ndpgpu/internal/backend"
 	"ndpgpu/internal/config"
@@ -56,9 +51,6 @@ func main() {
 		audit    = flag.Bool("audit", false, "run the full invariant audit suite and exit")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		par      = flag.Int("par", 0, "parallel workers (0 = auto: min(NumCPU, shard count); 1 = serial; >1 = deterministic sharded executor)")
-		fuse     = flag.Int("fuse", 0, "supershard count for the parallel executor (0 = auto: min(workers, NumCPU))")
-		noBatch  = flag.Bool("nobatch", false, "disable quiescence-batched phases in the parallel executor")
 		metricsO = flag.String("metrics", "", "write epoch-sampled metrics to this file (see -tracefmt)")
 		traceFmt = flag.String("tracefmt", "", "metrics export format: json|csv|chrome (default from -metrics extension)")
 		mInt     = flag.Int64("minterval", 0, "metrics sampling interval in SM cycles (0 = the Algorithm-1 epoch)")
@@ -92,13 +84,6 @@ func main() {
 	cfg.Arch.Backend = *arch
 	if _, err := backend.For(*arch); err != nil {
 		fatal(err)
-	}
-	cfg.Parallel = *par
-	cfg.FusionWidth = *fuse
-	cfg.NoQuiescentBatch = *noBatch
-	if *par > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr, "ndpsim: warning: -par %d exceeds the %d available CPUs; extra workers only add barrier overhead\n",
-			*par, runtime.NumCPU())
 	}
 	if *sms > 0 {
 		cfg.GPU.NumSMs = *sms

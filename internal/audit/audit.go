@@ -63,11 +63,9 @@ type namedCheck struct {
 }
 
 // Auditor collects violations and drives the registered checks. Reportf is
-// safe to call from parallel shard compute phases (vault audits report from
-// the concurrent DRAM shards); when violations exist their recorded order
-// may then vary across runs, but the count and the pass/fail verdict do not.
-// A violation-free run — the only kind the equivalence suite accepts — is
-// bit-identical either way.
+// safe to call from multiple goroutines; when violations are reported
+// concurrently their recorded order may vary across runs, but the count and
+// the pass/fail verdict do not.
 type Auditor struct {
 	mu         sync.Mutex
 	violations []Violation

@@ -10,7 +10,6 @@ package config
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // GPUConfig describes the host GPU (Table 2, "GPU" section).
@@ -358,67 +357,11 @@ type Config struct {
 	Arch    ArchConfig  // zero value = the paper's architecture (strict no-op)
 	Fault   FaultConfig // zero value = fault-free (strict no-op)
 
-	// Parallel selects deterministic sharded execution of the tick engine:
-	// the number of worker goroutines ticking shards (SMs, memory stacks)
-	// concurrently. 1 runs the reference serial engine; 0 means "auto" —
-	// min(runtime.NumCPU(), shard count), so a single-core host stays
-	// serial instead of benchmarking pure overhead. Results are
-	// bit-identical at every setting (see internal/timing/parallel.go).
+	// Parallel is deprecated and inert: every run uses the serial engine.
+	// Validate accepts 0 (the zero value) and 1 (the old explicit serial
+	// setting) and rejects anything else. For more cores, run simulations
+	// side by side (ndpsweep -j).
 	Parallel int
-
-	// FusionWidth folds each domain's shards into this many supershards for
-	// pool dispatch (internal/timing: Pool.RunFused). Fewer supershards mean
-	// fewer phase-barrier participants; the commit-replay and sequenced-
-	// operation orders are unchanged, so results stay bit-identical at every
-	// width. 0 means "auto": one supershard per effective worker, capped at
-	// the host CPU count.
-	FusionWidth int
-
-	// NoQuiescentBatch disables quiescent-phase barrier elision (the zero
-	// value keeps it enabled): with batching on, a compute phase in which at
-	// most one shard can act — every other shard proves idleness and holds
-	// no deferred cross-shard effects — runs inline on the coordinating
-	// goroutine with no worker wake-up. Purely a performance knob; results
-	// are bit-identical either way.
-	NoQuiescentBatch bool
-}
-
-// EffParallel resolves the Parallel setting against the host: 0 (auto) picks
-// min(runtime.NumCPU(), shards) so parallelism never exceeds what the host or
-// the shard map can use; explicit values pass through.
-func (c Config) EffParallel(shards int) int {
-	if c.Parallel != 0 {
-		return c.Parallel
-	}
-	n := runtime.NumCPU()
-	if n > shards {
-		n = shards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// EffFusion resolves the FusionWidth setting for a domain of `shards` shards
-// run by `par` workers: 0 (auto) targets one supershard per worker, capped at
-// the host CPU count (extra supershards beyond the CPUs only add barrier
-// participants). The result is clamped to [1, shards].
-func (c Config) EffFusion(par, shards int) int {
-	w := c.FusionWidth
-	if w <= 0 {
-		w = par
-		if n := runtime.NumCPU(); w > n {
-			w = n
-		}
-	}
-	if w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Default returns the Table 2 configuration.
@@ -506,10 +449,6 @@ func Default() Config {
 			PageBytes:     4 << 10,
 			PlacementSeed: 42,
 		},
-		// The serial reference engine. 0 would mean "auto" (parallel on
-		// multi-core hosts); defaulting to explicit serial keeps every
-		// library consumer that doesn't opt in on the reference path.
-		Parallel: 1,
 	}
 }
 
@@ -605,19 +544,8 @@ func (c Config) Validate() error {
 	if err := c.Fault.Validate(c.NumHMCs, c.HMC.NumVaults); err != nil {
 		return err
 	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("Parallel must be >= 0, got %d", c.Parallel)
-	}
-	if c.FusionWidth < 0 {
-		return fmt.Errorf("FusionWidth must be >= 0, got %d", c.FusionWidth)
-	}
-	if c.Parallel != 1 && c.HMC.RouterLatPS <= 0 &&
-		c.EffParallel(c.GPU.NumSMs+c.NumHMCs) > 1 {
-		// The sharded executor relies on every cross-stack packet arriving
-		// strictly after the tick it was sent on; a zero-latency mesh hop
-		// would let a same-instant arrival depend on commit order. Parallel=0
-		// (auto) trips this only on hosts where it actually resolves > 1.
-		return errors.New("parallel execution requires a positive RouterLatPS")
+	if c.Parallel != 0 && c.Parallel != 1 {
+		return fmt.Errorf("Parallel=%d: the engine is serial (only 0 and 1 are accepted); use ndpsweep -j to spread runs across cores", c.Parallel)
 	}
 	return nil
 }

@@ -102,6 +102,26 @@ func TestValidateRejectsBadPageSize(t *testing.T) {
 	}
 }
 
+// TestValidateParallel pins the deprecated Parallel field: 0 and 1 (the
+// serial engine under both old spellings) pass; anything else is rejected
+// because there is no other engine.
+func TestValidateParallel(t *testing.T) {
+	for _, tc := range []struct {
+		par int
+		ok  bool
+	}{{0, true}, {1, true}, {4, false}, {-1, false}} {
+		c := Default()
+		c.Parallel = tc.par
+		err := c.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("Parallel=%d: unexpected error %v", tc.par, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("Parallel=%d: want error, got none", tc.par)
+		}
+	}
+}
+
 func TestPacketBufferOverhead(t *testing.T) {
 	c := Default()
 	// §7.5: 8 B x 300 pending + 8 B x 64 ready = 2912 B = 2.84 KB.

@@ -29,6 +29,8 @@ func TestApplyOverridesErrors(t *testing.T) {
 		"unknown knob":  {"gpu.nosuchknob": 1},
 		"fractional sm": {"gpu.numsms": 3.5},
 		"huge seed":     {"mem.placementseed": 1e30},
+		"retired knob":  {"parallel": 2},
+		"retired width": {"fusionwidth": 2},
 	} {
 		c := Default()
 		if err := ApplyOverrides(&c, ov); err == nil {

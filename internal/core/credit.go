@@ -50,8 +50,7 @@ type BufferManager struct {
 	Rejects int64 // reservation attempts denied for lack of credits
 
 	// rejects splits Rejects by target NSU — the per-stack credit-stall
-	// series of the metrics layer. Reservations are sequenced in SM index
-	// order under the parallel executor, so the split is deterministic.
+	// series of the metrics layer.
 	rejects []int64
 }
 

@@ -24,7 +24,7 @@ func ServeRunner() serve.Runner {
 	return func(rc *serve.RunCtx, req *serve.Request, progress func(serve.Progress)) (*serve.Outcome, error) {
 		prep := func(m *sim.Machine) {
 			// Hand the watchdog its stop hook: a deadline or stall verdict
-			// cancels the engine cooperatively at its next step barrier.
+			// cancels the engine cooperatively at its next step boundary.
 			rc.OnCancel(m.Cancel)
 			if progress == nil {
 				return

@@ -64,10 +64,9 @@ type edge struct {
 }
 
 // Injector holds the expanded fault schedule and the current fault state.
-// Schedule state (Apply and the queries that call it) is single-threaded:
-// under parallel execution the engine applies the schedule in a pre-step
-// hook, making the in-phase queries read-only. The commit/abandon boards
-// are mutex-guarded so GPU and NSU shards may post concurrently.
+// Schedule state (Apply and the queries that call it) is single-threaded.
+// The commit/abandon boards are mutex-guarded, so the GPU and the NSUs may
+// post to them from different goroutines.
 type Injector struct {
 	cfg   config.FaultConfig
 	edges []edge
@@ -106,9 +105,8 @@ type Injector struct {
 	// stays bounded without pruning.
 	abandoned map[core.OffloadID]int32
 
-	// boardMu guards the two boards above under parallel execution: the GPU
-	// shards and the NSU shards touch them concurrently during a compute
-	// phase. Operations on distinct offload IDs commute (the protocol
+	// boardMu guards the two boards above against concurrent posts from the
+	// GPU and the NSUs. Operations on distinct offload IDs commute (the protocol
 	// guarantees a given ID is only ever touched by its owning SM warp and
 	// its current target NSU, never two writers racing on one ID), so a
 	// plain mutex preserves determinism.

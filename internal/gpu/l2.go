@@ -170,3 +170,17 @@ func (g *GPU) recordLine(blockID int, hit bool, words int) {
 		g.rec.RecordLine(blockID, hit, words)
 	}
 }
+
+// recordInstance counts one completed block instance for the profiler.
+func (g *GPU) recordInstance(blockID int) {
+	if g.rec != nil {
+		g.rec.RecordInstance(blockID)
+	}
+}
+
+// recordTransfer feeds the profiler one offload's register-transfer payload.
+func (g *GPU) recordTransfer(blockID, bytes int) {
+	if g.rec != nil {
+		g.rec.RecordTransfer(blockID, bytes)
+	}
+}

@@ -34,7 +34,6 @@ type HMC struct {
 	cfg config.Config
 	mem *vm.System
 	fab *noc.Fabric
-	out noc.Sender // defaults to fab; a shard outbox in parallel mode
 	st  *stats.Stats
 	nsu NSUPort
 
@@ -79,7 +78,7 @@ type xlatEntry struct {
 
 // New builds a stack.
 func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.Stats) *HMC {
-	h := &HMC{ID: id, cfg: cfg, mem: mem, fab: fab, out: fab, st: st,
+	h := &HMC{ID: id, cfg: cfg, mem: mem, fab: fab, st: st,
 		overflowCap:  cfg.HMC.EffOverflowCap(),
 		pendingReads: make(map[uint64][]func(at timing.PS))}
 	for v := 0; v < cfg.HMC.NumVaults; v++ {
@@ -100,15 +99,6 @@ func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.S
 
 // SetNSU attaches the stack's NSU.
 func (h *HMC) SetNSU(n NSUPort) { h.nsu = n }
-
-// SetSender redirects the stack's outgoing fabric traffic (parallel mode:
-// a per-shard outbox replayed at the commit barrier). The inbox is still
-// read through the fabric directly — it is shard-local state.
-func (h *HMC) SetSender(s noc.Sender) { h.out = s }
-
-// SetStats swaps in a shard-private statistics bundle (parallel mode; folded
-// into the run's bundle at finalization).
-func (h *HMC) SetStats(st *stats.Stats) { h.st = st }
 
 // SetFault attaches the fault injector (vault freezes).
 func (h *HMC) SetFault(inj *fault.Injector) { h.flt = inj }
@@ -258,7 +248,7 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 		line := m.LineAddr
 		h.readLine(line, now, func(at timing.PS) {
 			h.st.AddTraffic(stats.IntraHMC, int64(h.cfg.LineBytes()))
-			h.out.SendHMCToGPU(at, h.ID, core.ReadRespBytes(h.cfg.LineBytes()),
+			h.fab.SendHMCToGPU(at, h.ID, core.ReadRespBytes(h.cfg.LineBytes()),
 				&core.ReadResp{LineAddr: line})
 		})
 
@@ -283,7 +273,7 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 			if pkt.Target == h.ID {
 				h.nsu.Deliver(resp, at)
 			} else {
-				h.out.SendHMCToHMC(at, h.ID, pkt.Target, resp.Size(), resp)
+				h.fab.SendHMCToHMC(at, h.ID, pkt.Target, resp.Size(), resp)
 			}
 		})
 
@@ -309,10 +299,10 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 				if pkt.Source == h.ID {
 					h.nsu.Deliver(ackMsg, at)
 				} else {
-					h.out.SendHMCToHMC(at, h.ID, pkt.Source, ackMsg.Size(), ackMsg)
+					h.fab.SendHMCToHMC(at, h.ID, pkt.Source, ackMsg.Size(), ackMsg)
 				}
 				inval := &core.InvalPacket{LineAddr: pkt.Access.LineAddr, HomeHMC: h.ID}
-				h.out.SendHMCToGPU(at, h.ID, inval.Size(), inval)
+				h.fab.SendHMCToGPU(at, h.ID, inval.Size(), inval)
 			},
 		})
 

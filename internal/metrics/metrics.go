@@ -11,9 +11,8 @@
 // attached), so the simulated machine's behaviour and statistics are
 // bit-identical with and without it. Enabled, the sampler only reads machine
 // state at SM-domain edges the engine would fire anyway (the epoch controller
-// pins every boundary edge), and under the sharded parallel executor probes
-// sum the main bundle plus every shard-private bundle, so a run's series are
-// bit-identical between serial and parallel execution.
+// pins every boundary edge), so a run's series are a deterministic function
+// of the run.
 package metrics
 
 import (
@@ -208,7 +207,7 @@ func (c *Collector) Sample(now timing.PS) {
 
 // Final takes the end-of-run sample unless the last interval boundary
 // already sampled at exactly this time. Call once at finalization, before
-// shard statistics fold into the main bundle (probes sum both).
+// the machine folds its end-of-run totals into the statistics bundle.
 func (c *Collector) Final(now timing.PS) {
 	if n := len(c.times); n > 0 && c.times[n-1] == now {
 		return

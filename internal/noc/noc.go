@@ -70,11 +70,6 @@ type Inbox struct {
 	h   []Delivery
 	seq int64
 	aud *audit.Network // nil unless the fabric auditor is attached
-	// out, when set, receives deferred audit ejects instead of aud being
-	// called inline: the owning shard pops its inbox during the parallel
-	// compute phase, and the shared auditor must observe ejections in the
-	// serial (commit) order.
-	out *Outbox
 	// wake, when set, is called on every Put with the arrival time: the
 	// endpoint's clock domain is wake-scheduled and a parked ticker must be
 	// re-armed no later than the message's delivery edge.
@@ -117,11 +112,7 @@ func (in *Inbox) Pop(now timing.PS) (any, bool) {
 	}
 	msg := in.h[0].Msg
 	if in.aud != nil {
-		if in.out != nil {
-			in.out.eject(now, msg)
-		} else {
-			in.aud.Eject(now, msg)
-		}
+		in.aud.Eject(now, msg)
 	}
 	n := len(in.h) - 1
 	in.h[0] = in.h[n]
@@ -158,116 +149,6 @@ func (in *Inbox) NextAt() (timing.PS, bool) {
 	}
 	return in.h[0].At, true
 }
-
-// Sender is the packet-injection face of the fabric. Components hold a
-// Sender instead of a *Fabric so parallel execution can substitute a
-// per-shard Outbox that defers the sends to the commit phase.
-type Sender interface {
-	SendGPUToHMC(now timing.PS, dst, size int, msg any) timing.PS
-	SendHMCToGPU(now timing.PS, src, size int, msg any) timing.PS
-	SendHMCToHMC(now timing.PS, src, dst, size int, msg any) timing.PS
-}
-
-// CreditSink receives NDP buffer credits; the GPU's buffer manager (and, in
-// parallel mode, an Outbox fronting it) implements it.
-type CreditSink interface {
-	Return(target int, kind core.BufferKind, n int)
-}
-
-type opKind uint8
-
-const (
-	opSendG2H opKind = iota
-	opSendH2G
-	opSendH2H
-	opEject
-	opCredit
-)
-
-type deferredOp struct {
-	kind opKind
-	now  timing.PS
-	a, b int // src/dst (sends), target/n (credit)
-	size int
-	msg  any
-	bk   core.BufferKind
-}
-
-// Outbox records a shard's cross-shard effects during a parallel compute
-// phase — fabric sends, audit ejects, credit returns — in program order, and
-// Flush replays them against the real fabric at the commit barrier. Because
-// commits run in shard index order and serial execution ticks shards in the
-// same order, the replayed global sequence of fabric calls (and therefore
-// link busy times, inbox sequence numbers, PRNG draws, audit observations,
-// and statistics) is bit-identical to serial execution.
-//
-// The deferral is transparent to callers: arrival times returned by the
-// Send* methods are not used by any component (they return 0 here), and
-// every cross-stack packet arrives strictly after its send time, so nothing
-// could have observed the packet between generation and commit.
-type Outbox struct {
-	fab     *Fabric
-	credits CreditSink
-	ops     []deferredOp
-}
-
-// NewOutbox returns an outbox replaying into fab; credits receives deferred
-// credit returns (nil when the shard never returns credits).
-func NewOutbox(fab *Fabric, credits CreditSink) *Outbox {
-	return &Outbox{fab: fab, credits: credits}
-}
-
-// SendGPUToHMC implements Sender by deferring the send.
-func (o *Outbox) SendGPUToHMC(now timing.PS, dst, size int, msg any) timing.PS {
-	o.ops = append(o.ops, deferredOp{kind: opSendG2H, now: now, b: dst, size: size, msg: msg})
-	return 0
-}
-
-// SendHMCToGPU implements Sender by deferring the send.
-func (o *Outbox) SendHMCToGPU(now timing.PS, src, size int, msg any) timing.PS {
-	o.ops = append(o.ops, deferredOp{kind: opSendH2G, now: now, a: src, size: size, msg: msg})
-	return 0
-}
-
-// SendHMCToHMC implements Sender by deferring the send.
-func (o *Outbox) SendHMCToHMC(now timing.PS, src, dst, size int, msg any) timing.PS {
-	o.ops = append(o.ops, deferredOp{kind: opSendH2H, now: now, a: src, b: dst, size: size, msg: msg})
-	return 0
-}
-
-// Return implements CreditSink by deferring the credit return.
-func (o *Outbox) Return(target int, kind core.BufferKind, n int) {
-	o.ops = append(o.ops, deferredOp{kind: opCredit, a: target, b: n, bk: kind})
-}
-
-func (o *Outbox) eject(now timing.PS, msg any) {
-	o.ops = append(o.ops, deferredOp{kind: opEject, now: now, msg: msg})
-}
-
-// Flush replays the deferred operations in the order they were recorded and
-// empties the outbox. Must be called from the commit phase only.
-func (o *Outbox) Flush() {
-	for i := range o.ops {
-		op := &o.ops[i]
-		switch op.kind {
-		case opSendG2H:
-			o.fab.SendGPUToHMC(op.now, op.b, op.size, op.msg)
-		case opSendH2G:
-			o.fab.SendHMCToGPU(op.now, op.a, op.size, op.msg)
-		case opSendH2H:
-			o.fab.SendHMCToHMC(op.now, op.a, op.b, op.size, op.msg)
-		case opEject:
-			o.fab.aud.Eject(op.now, op.msg)
-		case opCredit:
-			o.credits.Return(op.a, op.bk, op.b)
-		}
-		op.msg = nil // release for GC; the slice is reused across ticks
-	}
-	o.ops = o.ops[:0]
-}
-
-// Pending returns the number of deferred operations (test hook).
-func (o *Outbox) Pending() int { return len(o.ops) }
 
 // Fabric wires the GPU and the HMCs together.
 type Fabric struct {
@@ -375,12 +256,6 @@ func (f *Fabric) SetAudit(n *audit.Network) {
 		f.hmcInbox[i].aud = n
 	}
 }
-
-// DeferEjects routes HMC i's audit ejections through the given outbox (nil
-// restores inline ejection). Parallel mode only: the stack shard that owns
-// inbox i pops it concurrently with other shards, so its ejections must be
-// replayed at the commit barrier.
-func (f *Fabric) DeferEjects(i int, o *Outbox) { f.hmcInbox[i].out = o }
 
 // SetFault attaches the fault injector (nil detaches). With an injector
 // attached, inter-HMC sends take the fault-aware path: per-hop link-liveness

@@ -42,7 +42,7 @@ func poisonous(err error) bool {
 // RunCtx is the per-execution control handle handed to a Runner. It carries
 // cooperative cancellation from the scheduler's watchdog to the running
 // simulation: the runner registers how it can be stopped (the machine's
-// step-barrier stop flag) with OnCancel, and the watchdog fires every
+// step-boundary stop flag) with OnCancel, and the watchdog fires every
 // registered canceler at most once when the deadline or stall window trips.
 type RunCtx struct {
 	mu      sync.Mutex
@@ -112,7 +112,7 @@ func (rc *RunCtx) cancel(cause error) {
 // watchdog supervises one run: a total deadline plus a progress-stall window
 // fed by the epoch metrics hook (every progress event touches the guard).
 // When either trips it cancels the RunCtx, which stops the simulation at its
-// next step barrier.
+// next step boundary.
 type watchdog struct {
 	guard *metrics.StallGuard // nil when stall detection is off
 	stop  chan struct{}

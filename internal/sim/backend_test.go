@@ -47,6 +47,26 @@ func TestBackendAudit(t *testing.T) {
 	}
 }
 
+// TestBackendParallelEquivalence extends the concurrent-runs determinism
+// check to the backends that carry extra per-Machine state (CODA's traced
+// placement pre-pass, NDPage's per-stack translation queues): a run made
+// while the other backend's run executes concurrently must be bit-identical
+// to the same run made alone.
+func TestBackendParallelEquivalence(t *testing.T) {
+	cfg := smallConfig()
+	for _, arch := range []string{"coda", "ndpage"} {
+		arch := arch
+		t.Run(arch, func(t *testing.T) {
+			acfg := cfg
+			acfg.Arch.Backend = arch
+			alone := runParLeg(t, acfg, "VADD", NaiveNDP, false)
+			t.Parallel()
+			concurrent := runParLeg(t, acfg, "VADD", NaiveNDP, false)
+			requireIdentical(t, arch+" VADD/NaiveNDP", alone, concurrent)
+		})
+	}
+}
+
 // TestBackendMemoryInvariance pins the placement-is-timing-only property
 // directly: the same workload run under every backend (including the default)
 // must end with byte-identical memory, even though the page->stack layouts
@@ -60,34 +80,14 @@ func TestBackendMemoryInvariance(t *testing.T) {
 	for _, mode := range modes {
 		mode := mode
 		t.Run(mode.Name, func(t *testing.T) {
-			ref := runParLeg(t, cfg, "VADD", mode, 1, false)
+			ref := runParLeg(t, cfg, "VADD", mode, false).mem
 			for _, arch := range backendArchs {
 				acfg := cfg
 				acfg.Arch.Backend = arch
-				leg := runParLeg(t, acfg, "VADD", mode, 1, false)
-				if !bytes.Equal(ref.mem, leg.mem) {
+				if !bytes.Equal(ref, runParLeg(t, acfg, "VADD", mode, false).mem) {
 					t.Errorf("%s: final memory differs from the default architecture", arch)
 				}
 			}
-		})
-	}
-}
-
-// TestBackendParallelEquivalence extends the sharded-executor determinism
-// contract to the new backends: with CODA placement skewing page homes and
-// NDPage adding per-stack translation queues, a Parallel=4 run must still be
-// bit-identical to the serial reference (translation state is per-HMC, and
-// only shard i touches HMC i).
-func TestBackendParallelEquivalence(t *testing.T) {
-	cfg := smallConfig()
-	for _, arch := range []string{"coda", "ndpage"} {
-		arch := arch
-		t.Run(arch, func(t *testing.T) {
-			acfg := cfg
-			acfg.Arch.Backend = arch
-			serial := runParLeg(t, acfg, "VADD", NaiveNDP, 1, false)
-			par := runParLeg(t, acfg, "VADD", NaiveNDP, 4, false)
-			requireIdentical(t, arch+" VADD/NaiveNDP", serial, par)
 		})
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"ndpgpu/internal/workloads"
 )
 
-// metricsRun executes one VADD run at the audit configuration, optionally
-// with the metrics collector enabled and/or the parallel executor, and
-// returns the machine plus everything the equivalence checks compare.
+// metricsLeg is one VADD run at the audit configuration, optionally with the
+// metrics collector enabled: the machine plus everything the equivalence
+// checks compare.
 type metricsLeg struct {
 	m      *Machine
 	res    *Result
@@ -78,21 +78,18 @@ func TestMetricsDisabledNoOp(t *testing.T) {
 	}
 }
 
-// TestMetricsSerialParallelIdentity requires the enabled collector to export
-// byte-identical JSON between the serial engine and the sharded parallel
-// executor — samples, timestamps, span order, everything.
-func TestMetricsSerialParallelIdentity(t *testing.T) {
-	serialCfg := AuditConfig()
-	parCfg := serialCfg
-	parCfg.Parallel = 4
+// TestMetricsExportDeterministic requires two runs of the same leg to export
+// byte-identical JSON — samples, timestamps, span order, everything.
+func TestMetricsExportDeterministic(t *testing.T) {
+	cfg := AuditConfig()
 	for _, mode := range []Mode{NaiveNDP, DynNDP} {
-		serial := runMetricsLeg(t, serialCfg, mode, true)
-		par := runMetricsLeg(t, parCfg, mode, true)
-		if !bytes.Equal(serial.export, par.export) {
-			t.Errorf("%s: metrics export differs serial vs parallel", mode.Name)
+		a := runMetricsLeg(t, cfg, mode, true)
+		b := runMetricsLeg(t, cfg, mode, true)
+		if !bytes.Equal(a.export, b.export) {
+			t.Errorf("%s: metrics export differs between identical runs", mode.Name)
 		}
-		if !bytes.Equal(serial.mem, par.mem) {
-			t.Errorf("%s: memory differs serial vs parallel", mode.Name)
+		if !bytes.Equal(a.mem, b.mem) {
+			t.Errorf("%s: memory differs between identical runs", mode.Name)
 		}
 	}
 }

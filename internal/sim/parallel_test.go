@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ndpgpu/internal/config"
@@ -11,6 +12,12 @@ import (
 	"ndpgpu/internal/vm"
 	"ndpgpu/internal/workloads"
 )
+
+// The engine is serial: one run uses one core. Cores pay off across runs
+// instead (ndpsweep -j, the ndpserve worker pool), which is only sound if
+// independent Machines in one process share no mutable state. The tests in
+// this file pin that: a run made while other runs execute on other
+// goroutines must be bit-identical to the same run made alone.
 
 // parLeg captures everything a run can externally observe: the final memory
 // image, the complete statistics bundle, and (when auditing) the violation
@@ -22,109 +29,145 @@ type parLeg struct {
 	violations int64
 }
 
-// runParLeg runs one workload/mode with the given Parallel degree and
-// returns the observable outcome. The functional output is verified against
-// the host reference in every leg. Serial reference legs pass par=1
-// explicitly: 0 now means "auto" and would go parallel on multi-core hosts.
-func runParLeg(t *testing.T, cfg config.Config, abbr string, mode Mode, par int, withAudit bool) parLeg {
-	t.Helper()
-	cfg.Parallel = par
+// runLeg runs one workload/mode leg and returns its observable outcome. The
+// functional output is verified against the host reference. It reports
+// failures as errors so that it can be called off the test goroutine.
+func runLeg(cfg config.Config, abbr string, mode Mode, withAudit bool) (parLeg, error) {
 	mem := vm.New(cfg)
 	w, err := workloads.Build(abbr, mem, 1)
 	if err != nil {
-		t.Fatal(err)
+		return parLeg{}, err
 	}
 	m, err := Launch(cfg, w.Kernel, mem, mode)
 	if err != nil {
-		t.Fatalf("%s/%s par=%d: Launch: %v", abbr, mode.Name, par, err)
+		return parLeg{}, fmt.Errorf("%s/%s: Launch: %v", abbr, mode.Name, err)
 	}
-	leg := parLeg{}
 	var aud interface{ Count() int64 }
 	if withAudit {
 		aud = m.EnableAudit()
 	}
 	res, err := m.Run(0)
 	if err != nil {
-		t.Fatalf("%s/%s par=%d: Run: %v", abbr, mode.Name, par, err)
+		return parLeg{}, fmt.Errorf("%s/%s: Run: %v", abbr, mode.Name, err)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("%s/%s par=%d: verification failed: %v", abbr, mode.Name, par, err)
+		return parLeg{}, fmt.Errorf("%s/%s: verification failed: %v", abbr, mode.Name, err)
 	}
+	leg := parLeg{mem: mem.Snapshot(), st: res.Stats, cycles: res.Cycles}
 	if aud != nil {
 		leg.violations = aud.Count()
 	}
-	leg.mem = mem.Snapshot()
-	leg.st = res.Stats
-	leg.cycles = res.Cycles
+	return leg, nil
+}
+
+// runParLeg is runLeg on the test goroutine.
+func runParLeg(t *testing.T, cfg config.Config, abbr string, mode Mode, withAudit bool) parLeg {
+	t.Helper()
+	leg, err := runLeg(cfg, abbr, mode, withAudit)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return leg
+}
+
+// runConcurrentLegs starts n copies of one leg at once, each on its own
+// goroutine with its own memory image and Machine, and returns them all.
+func runConcurrentLegs(t *testing.T, cfg config.Config, abbr string, mode Mode, withAudit bool, n int) []parLeg {
+	t.Helper()
+	legs := make([]parLeg, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range legs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			legs[i], errs[i] = runLeg(cfg, abbr, mode, withAudit)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return legs
 }
 
 // requireIdentical asserts bit-identity of two legs: same final memory image
 // and every statistics counter equal.
-func requireIdentical(t *testing.T, name string, serial, parallel parLeg) {
+func requireIdentical(t *testing.T, name string, alone, concurrent parLeg) {
 	t.Helper()
-	if serial.cycles != parallel.cycles {
-		t.Errorf("%s: cycles diverge: serial=%d parallel=%d", name, serial.cycles, parallel.cycles)
+	if alone.cycles != concurrent.cycles {
+		t.Errorf("%s: cycles diverge: alone=%d concurrent=%d", name, alone.cycles, concurrent.cycles)
 	}
-	if !bytes.Equal(serial.mem, parallel.mem) {
+	if !bytes.Equal(alone.mem, concurrent.mem) {
 		t.Errorf("%s: final memory images differ", name)
 	}
-	if !reflect.DeepEqual(serial.st, parallel.st) {
-		t.Errorf("%s: statistics diverge:\nserial:   %+v\nparallel: %+v", name, serial.st, parallel.st)
+	if !reflect.DeepEqual(alone.st, concurrent.st) {
+		t.Errorf("%s: statistics diverge:\nalone:      %+v\nconcurrent: %+v", name, alone.st, concurrent.st)
 	}
 }
 
-// TestParallelEquivalence proves the determinism contract of the sharded
-// executor the same way TestIdleSkipEquivalence proved idle skipping: for
-// every workload x mode leg, a run with Parallel=4 must be bit-identical to
-// the serial reference — same final memory image, same cycle count, every
-// statistics counter equal. The mode set covers all decider kinds the
-// sequencer handles differently: Never/Always (pure, unsequenced), Dynamic
-// (seeded PRNG draws at serial positions), and CacheAware (profile shards
-// folded before each decision).
+// TestParallelEquivalence runs every workload x mode leg twice: once alone,
+// then again while the other legs' second runs execute concurrently (the
+// subtests go parallel after their reference run, so the second runs
+// overlap the way ndpsweep -j jobs do). Each second run must be
+// bit-identical to its reference — same final memory image, same cycle
+// count, every statistics counter equal. The mode set covers every decider
+// kind: Never/Always, Dynamic (seeded PRNG draws) and CacheAware (profile
+// state per Machine).
 func TestParallelEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	wls := workloads.Abbrs()
 	if testing.Short() {
 		wls = []string{"VADD", "BFS"}
 	}
-	modes := []Mode{Baseline, NaiveNDP, DynCache}
+	type leg struct {
+		name string
+		abbr string
+		mode Mode
+	}
+	var legs []leg
 	for _, abbr := range wls {
-		for _, mode := range modes {
-			abbr, mode := abbr, mode
-			t.Run(abbr+"/"+mode.Name, func(t *testing.T) {
-				serial := runParLeg(t, cfg, abbr, mode, 1, false)
-				par := runParLeg(t, cfg, abbr, mode, 4, false)
-				requireIdentical(t, abbr+"/"+mode.Name, serial, par)
-			})
+		for _, mode := range []Mode{Baseline, NaiveNDP, DynCache} {
+			legs = append(legs, leg{abbr + "/" + mode.Name, abbr, mode})
 		}
 	}
-	// Plain Dynamic (no cache filter): the PRNG-draw sequencing without
-	// profile folding.
-	t.Run("VADD/NDP(Dyn)", func(t *testing.T) {
-		serial := runParLeg(t, cfg, "VADD", DynNDP, 1, false)
-		par := runParLeg(t, cfg, "VADD", DynNDP, 4, false)
-		requireIdentical(t, "VADD/NDP(Dyn)", serial, par)
-	})
+	// Plain Dynamic (no cache filter): PRNG draws without profile state.
+	legs = append(legs, leg{"VADD/NDP(Dyn)", "VADD", DynNDP})
+	for _, l := range legs {
+		l := l
+		t.Run(l.name, func(t *testing.T) {
+			alone := runParLeg(t, cfg, l.abbr, l.mode, false)
+			t.Parallel()
+			concurrent := runParLeg(t, cfg, l.abbr, l.mode, false)
+			requireIdentical(t, l.name, alone, concurrent)
+		})
+	}
 }
 
-// TestParallelEquivalenceAudited runs a leg with every invariant checker
-// attached: the auditor must observe the identical post-commit state in both
-// modes (zero violations, identical statistics).
+// TestParallelEquivalenceAudited runs an audited leg alone and then as two
+// concurrent copies: every invariant checker must see zero violations in
+// each run, and the statistics must match the lone run.
 func TestParallelEquivalenceAudited(t *testing.T) {
 	cfg := AuditConfig()
-	serial := runParLeg(t, cfg, "VADD", NaiveNDP, 1, true)
-	par := runParLeg(t, cfg, "VADD", NaiveNDP, 4, true)
-	if serial.violations != 0 || par.violations != 0 {
-		t.Fatalf("audit violations: serial=%d parallel=%d, want 0", serial.violations, par.violations)
+	alone := runParLeg(t, cfg, "VADD", NaiveNDP, true)
+	if alone.violations != 0 {
+		t.Fatalf("audit violations alone: %d, want 0", alone.violations)
 	}
-	requireIdentical(t, "audited VADD/NaiveNDP", serial, par)
+	for i, c := range runConcurrentLegs(t, cfg, "VADD", NaiveNDP, true, 2) {
+		if c.violations != 0 {
+			t.Fatalf("audit violations in concurrent run %d: %d, want 0", i, c.violations)
+		}
+		requireIdentical(t, fmt.Sprintf("audited VADD/NaiveNDP #%d", i), alone, c)
+	}
 }
 
 // TestParallelEquivalenceChaos runs a leg under a deterministic fault
-// schedule that exercises the sequenced recovery paths (timeouts, retries),
-// with auditing on: the parallel run must reproduce the serial run's
-// recovery decisions bit for bit.
+// schedule that exercises the recovery paths (timeouts, retries), with
+// auditing on, alone and then as two concurrent copies: each fault injector
+// belongs to its Machine, so the concurrent runs must reproduce the lone
+// run's recovery decisions bit for bit.
 func TestParallelEquivalenceChaos(t *testing.T) {
 	cfg := AuditConfig()
 	var spec string
@@ -141,148 +184,17 @@ func TestParallelEquivalenceChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Fault = fc
-	serial := runParLeg(t, cfg, "VADD", NaiveNDP, 1, true)
-	par := runParLeg(t, cfg, "VADD", NaiveNDP, 4, true)
-	if serial.violations != 0 || par.violations != 0 {
-		t.Fatalf("audit violations: serial=%d parallel=%d, want 0", serial.violations, par.violations)
+	alone := runParLeg(t, cfg, "VADD", NaiveNDP, true)
+	if alone.violations != 0 {
+		t.Fatalf("audit violations alone: %d, want 0", alone.violations)
 	}
-	if serial.st.OffloadTimeouts == 0 {
+	if alone.st.OffloadTimeouts == 0 {
 		t.Fatal("chaos leg fired no timeouts; schedule inert")
 	}
-	requireIdentical(t, "chaos VADD/NaiveNDP", serial, par)
-}
-
-// fusedVariants is the tentpole acceptance matrix: every pinned fusion width
-// from fully fused (1 supershard, always inline) to fully unfused (72, one
-// shard per barrier participant — clamped per domain), crossed with
-// quiescence batching on and off. Widths > 1 force real worker goroutines
-// even on single-CPU hosts (the auto width would fold to 1 there), so the
-// race detector sees genuine cross-goroutine schedules in every environment.
-var fusedVariants = []struct {
-	width   int
-	nobatch bool
-}{
-	{1, false}, {1, true},
-	{2, false}, {2, true},
-	{4, false}, {4, true},
-	{72, false}, {72, true},
-}
-
-func fusedName(width int, nobatch bool) string {
-	batch := "batch"
-	if nobatch {
-		batch = "nobatch"
-	}
-	return fmt.Sprintf("fuse=%d/%s", width, batch)
-}
-
-// TestParallelEquivalenceFused extends the determinism contract across the
-// fusion/batching matrix: for representative workload x mode legs (covering
-// the pure, PRNG-sequenced, and profile-folding decider kinds), a Parallel=4
-// run at every pinned fusion width with quiescence batching on and off must
-// be bit-identical to the serial reference.
-func TestParallelEquivalenceFused(t *testing.T) {
-	cfg := smallConfig()
-	legs := []struct {
-		abbr string
-		mode Mode
-	}{
-		{"VADD", DynCache},
-		{"BFS", NaiveNDP},
-		{"VADD", DynNDP},
-	}
-	variants := fusedVariants
-	if testing.Short() {
-		// Short mode is a smoke: one leg, one fused width per batching
-		// setting. The full matrix runs in `make test-parallel-fused`.
-		legs = legs[:1]
-		variants = []struct {
-			width   int
-			nobatch bool
-		}{{2, false}, {72, true}}
-	}
-	for _, l := range legs {
-		serial := runParLeg(t, cfg, l.abbr, l.mode, 1, false)
-		for _, v := range variants {
-			v := v
-			name := l.abbr + "/" + l.mode.Name + "/" + fusedName(v.width, v.nobatch)
-			t.Run(name, func(t *testing.T) {
-				c := cfg
-				c.FusionWidth = v.width
-				c.NoQuiescentBatch = v.nobatch
-				par := runParLeg(t, c, l.abbr, l.mode, 4, false)
-				requireIdentical(t, name, serial, par)
-			})
+	for i, c := range runConcurrentLegs(t, cfg, "VADD", NaiveNDP, true, 2) {
+		if c.violations != 0 {
+			t.Fatalf("audit violations in concurrent run %d: %d, want 0", i, c.violations)
 		}
-	}
-}
-
-// TestParallelEquivalenceFusedAudited reruns the audited leg across the
-// fusion/batching matrix: every invariant checker must observe identical
-// post-commit state at every width.
-func TestParallelEquivalenceFusedAudited(t *testing.T) {
-	cfg := AuditConfig()
-	serial := runParLeg(t, cfg, "VADD", NaiveNDP, 1, true)
-	variants := fusedVariants
-	if testing.Short() {
-		variants = variants[2:3] // fuse=2, batch on
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(fusedName(v.width, v.nobatch), func(t *testing.T) {
-			c := cfg
-			c.FusionWidth = v.width
-			c.NoQuiescentBatch = v.nobatch
-			par := runParLeg(t, c, "VADD", NaiveNDP, 4, true)
-			if serial.violations != 0 || par.violations != 0 {
-				t.Fatalf("audit violations: serial=%d parallel=%d, want 0",
-					serial.violations, par.violations)
-			}
-			requireIdentical(t, "audited "+fusedName(v.width, v.nobatch), serial, par)
-		})
-	}
-}
-
-// TestParallelEquivalenceFusedChaos reruns the frozen-vault chaos leg with a
-// fused executor: the sequenced recovery decisions (timeouts, retries) must
-// land at their serial positions inside supershards too.
-func TestParallelEquivalenceFusedChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos x fusion matrix runs in make test-parallel-fused; the unfused chaos leg already covers -short")
-	}
-	cfg := AuditConfig()
-	var spec string
-	for _, s := range PinnedSchedules() {
-		if s.Name == "frozen-vault" {
-			spec = s.Spec
-		}
-	}
-	if spec == "" {
-		t.Fatal("frozen-vault schedule not found")
-	}
-	fc, err := ChaosFaultConfig(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Fault = fc
-	serial := runParLeg(t, cfg, "VADD", NaiveNDP, 1, true)
-	if serial.st.OffloadTimeouts == 0 {
-		t.Fatal("chaos leg fired no timeouts; schedule inert")
-	}
-	for _, v := range []struct {
-		width   int
-		nobatch bool
-	}{{2, false}, {2, true}} {
-		v := v
-		t.Run(fusedName(v.width, v.nobatch), func(t *testing.T) {
-			c := cfg
-			c.FusionWidth = v.width
-			c.NoQuiescentBatch = v.nobatch
-			par := runParLeg(t, c, "VADD", NaiveNDP, 4, true)
-			if par.violations != 0 {
-				t.Fatalf("audit violations: %d, want 0", par.violations)
-			}
-			requireIdentical(t, "chaos "+fusedName(v.width, v.nobatch), serial, par)
-		})
+		requireIdentical(t, fmt.Sprintf("chaos VADD/NaiveNDP #%d", i), alone, c)
 	}
 }

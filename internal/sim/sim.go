@@ -65,13 +65,6 @@ type Machine struct {
 	smDomain  *timing.Domain
 	nsuDomain *timing.Domain
 
-	// Parallel execution (effective Parallel > 1): the resolved worker
-	// count, the worker pool, and the per-stack shard statistics bundles,
-	// folded into St at finalization.
-	par      int
-	pool     *timing.Pool
-	shardSts []*stats.Stats
-
 	aud *audit.Auditor     // nil unless EnableAudit was called
 	flt *fault.Injector    // nil unless the config carries a fault schedule
 	mc  *metrics.Collector // nil unless EnableMetrics was called
@@ -170,17 +163,14 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 	xbar := m.engine.AddDomain("xbar", timing.PeriodFromMHz(cfg.GPU.XbarClockMHz))
 	dramDom := m.engine.AddDomain("dram", timing.PS(cfg.HMC.TCKps))
 	m.nsuDomain = m.engine.AddDomain("nsu", timing.PeriodFromMHz(cfg.NSU.ClockMHz))
-	m.par = cfg.EffParallel(cfg.GPU.NumSMs + cfg.NumHMCs)
-	// Wake scheduling: in serial fault-free runs every simulated component is
-	// parked on its domain's wake wheel until its NextWorkAt, and every
-	// channel that can hand a parked component work (inbox delivery, direct
-	// NSU write submission, ack/fill events dirtying an SM mirror, direct L2
-	// pushes) re-arms the target's slot. Parallel runs keep plain attachment:
-	// shard phases call these channels concurrently, and the sharded executor
-	// already proves quiescence through the same hints. Fault runs stay
-	// polled too — a stalled NSU or frozen vault records nothing on a dense
-	// tick, which per-slot elision credit would misrepresent.
-	if m.par <= 1 && m.flt == nil {
+	// Wake scheduling: in fault-free runs every simulated component is parked
+	// on its domain's wake wheel until its NextWorkAt, and every channel that
+	// can hand a parked component work (inbox delivery, direct NSU write
+	// submission, ack/fill events dirtying an SM mirror, direct L2 pushes)
+	// re-arms the target's slot. Fault runs stay polled: a stalled NSU or
+	// frozen vault records nothing on a dense tick, which per-slot elision
+	// credit would misrepresent.
+	if m.flt == nil {
 		gpuSlot := m.smDomain.AttachScheduled(m.g)
 		m.g.SetWakeHook(func() { m.smDomain.Wake(gpuSlot, 0) })
 		xbarSlot := xbar.AttachScheduled(m.g.XbarTicker())
@@ -196,15 +186,11 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 	} else {
 		m.smDomain.Attach(m.g)
 		xbar.Attach(m.g.XbarTicker())
-		if m.par > 1 {
-			m.assembleParallel(dramDom)
-		} else {
-			for _, h := range m.hmcs {
-				dramDom.Attach(h)
-			}
-			for _, n := range m.nsus {
-				m.nsuDomain.Attach(n)
-			}
+		for _, h := range m.hmcs {
+			dramDom.Attach(h)
+		}
+		for _, n := range m.nsus {
+			m.nsuDomain.Attach(n)
 		}
 	}
 	m.smDomain.Attach(swapTicker{m})
@@ -212,90 +198,8 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 		// Pins SM edges at schedule boundaries so fault windows take effect
 		// at exact cycles even under idle skipping.
 		m.smDomain.Attach(fault.Ticker{Inj: m.flt})
-		if m.par > 1 {
-			// Apply the schedule before any domain ticks, so the in-phase
-			// fault queries from concurrent shards are read-only.
-			m.engine.AddPreStep(func(now timing.PS) { m.flt.Apply(now) })
-		}
 	}
 	return m, nil
-}
-
-// stackShard adapts one stack-side component (an HMC or its NSU) plus the
-// stack's outbox to timing.Shard: Tick computes against shard-own state,
-// Commit replays the deferred cross-shard effects. The HMC and NSU of a
-// stack share one outbox — their domains never tick in the same phase, and
-// a unified log preserves the exact serial interleaving of their sends.
-type stackShard struct {
-	inner timing.Ticker
-	hint  timing.IdleHint
-	skip  timing.IdleSkipper
-	out   *noc.Outbox
-}
-
-func newStackShard(t timing.Ticker, out *noc.Outbox) *stackShard {
-	s := &stackShard{inner: t, out: out}
-	s.hint, _ = t.(timing.IdleHint)
-	s.skip, _ = t.(timing.IdleSkipper)
-	return s
-}
-
-func (s *stackShard) Tick(now timing.PS)   { s.inner.Tick(now) }
-func (s *stackShard) Commit(now timing.PS) { s.out.Flush() }
-
-// PendingCommit implements timing.CommitPending: the quiescent-phase proof
-// must treat a stack with deferred sends in its outbox as active.
-func (s *stackShard) PendingCommit() int { return s.out.Pending() }
-
-func (s *stackShard) NextWorkAt(now timing.PS) timing.PS {
-	if s.hint == nil {
-		return now
-	}
-	return s.hint.NextWorkAt(now)
-}
-
-func (s *stackShard) SkipIdle(n int64) {
-	if s.skip != nil {
-		s.skip.SkipIdle(n)
-	}
-}
-
-// assembleParallel rewires the machine for deterministic sharded execution:
-// each memory stack (HMC + NSU) becomes a shard with a private statistics
-// bundle and a deferred-effect outbox, the dram and nsu domains tick their
-// shards on a shared worker pool, and the GPU's SM array switches to its own
-// compute/commit split (unless the NSU read-only-cache mirror pins it
-// serial). Shard fusion and quiescent-phase batching are resolved from the
-// configuration per domain. Everything folds back at barriers or
-// finalization, so results stay bit-identical to the serial engine.
-func (m *Machine) assembleParallel(dramDom *timing.Domain) {
-	m.pool = timing.NewPool(m.par)
-	quiesce := !m.Cfg.NoQuiescentBatch
-	m.g.SetParallel(m.pool, m.Cfg.EffFusion(m.par, m.Cfg.GPU.NumSMs), quiesce)
-	hshards := make([]timing.Shard, 0, len(m.hmcs))
-	nshards := make([]timing.Shard, 0, len(m.nsus))
-	for i := range m.hmcs {
-		sst := stats.New()
-		m.shardSts = append(m.shardSts, sst)
-		out := noc.NewOutbox(m.fab, m.g.BufferManager())
-		m.hmcs[i].SetSender(out)
-		m.hmcs[i].SetStats(sst)
-		m.nsus[i].SetSender(out)
-		m.nsus[i].SetCredits(out)
-		m.nsus[i].SetStats(sst)
-		m.fab.DeferEjects(i, out)
-		hshards = append(hshards, newStackShard(m.hmcs[i], out))
-		nshards = append(nshards, newStackShard(m.nsus[i], out))
-	}
-	stackFusion := m.Cfg.EffFusion(m.par, len(m.hmcs))
-	hsh := timing.NewSharded(m.pool, hshards...)
-	hsh.SetFusion(stackFusion)
-	hsh.SetQuiescent(quiesce)
-	dramDom.Attach(hsh)
-	nsh := timing.NewSharded(m.pool, nshards...)
-	nsh.SetFusion(stackFusion)
-	nsh.SetQuiescent(quiesce)
-	m.nsuDomain.Attach(nsh)
 }
 
 // swapTicker drives serviceSwaps on the SM clock with an idle hint: with no
@@ -562,7 +466,7 @@ const DefaultLimitPS = timing.PS(1e12)
 var ErrCanceled = errors.New("sim: run canceled")
 
 // Cancel requests a cooperative stop of a running machine: the tick engine
-// exits at its next step boundary (a phase barrier in parallel mode) and Run
+// exits at its next step boundary and Run
 // returns an error wrapping ErrCanceled. Cancel is the one Machine method
 // safe to call from another goroutine — it is how a service watchdog unwedges
 // a hung or runaway simulation without corrupting its state.
@@ -575,7 +479,6 @@ func (m *Machine) Run(limitPS timing.PS) (*Result, error) {
 		limitPS = DefaultLimitPS
 	}
 	_, ok := m.engine.RunUntil(m.done, limitPS)
-	m.pool.Close() // nil-safe; stops the parallel workers, if any
 	m.finalize()
 	if m.aud != nil && !(m.engine.Canceled() && !ok) {
 		m.aud.RunChecks(m.engine.Now(), true)
@@ -595,8 +498,8 @@ func (m *Machine) Run(limitPS timing.PS) (*Result, error) {
 
 func (m *Machine) finalize() {
 	// The metrics collector takes its final sample before anything below
-	// mutates the main bundle: its probes sum the main bundle plus every
-	// shard bundle, so folding shards first would double-count the deltas.
+	// mutates the bundle, so the finalization folds never show up as
+	// deltas.
 	if m.mc != nil {
 		m.g.DrainSpans()
 		m.mc.Final(m.engine.Now())
@@ -614,16 +517,6 @@ func (m *Machine) finalize() {
 	}
 	for _, n := range m.nsus {
 		m.St.SetNSUICode(n.ID, n.ICodeBytes())
-	}
-	// Parallel mode: fold every shard-private bundle into the run's bundle.
-	// The shard counters are disjoint deltas (each event counted on exactly
-	// one shard), so the fold order cannot matter; FoldInto max-merges the
-	// high-water marks and the NSU I-code footprints.
-	for _, s := range m.shardSts {
-		stats.FoldInto(m.St, s)
-	}
-	for _, s := range m.g.ShardStats() {
-		stats.FoldInto(m.St, s)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // setIntLeaves sets every int64 leaf reachable from v (fields, fixed arrays,
 // nested structs) to val, and returns how many leaves were set. Slices are
-// handled by the caller; float fields (coordinator-only) are skipped.
+// handled by the caller; float fields (per-run series, not merged) are skipped.
 func setIntLeaves(v reflect.Value, val int64) int {
 	switch v.Kind() {
 	case reflect.Int64:

@@ -62,83 +62,3 @@ func BenchmarkEngineIdleSkip(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) { benchEngine(b, c.gap, c.skip) })
 	}
 }
-
-// nopShard is the cheapest possible Shard: its tick does nothing, so a phase
-// over nopShards measures pure executor overhead — claim, dispatch, barrier.
-type nopShard struct {
-	wake PS
-	pend int
-}
-
-func (s *nopShard) Tick(now PS)          {}
-func (s *nopShard) Commit(now PS)        {}
-func (s *nopShard) NextWorkAt(now PS) PS { return s.wake }
-func (s *nopShard) PendingCommit() int   { return s.pend }
-
-// BenchmarkPhaseBarrier measures the per-phase cost of the executor over 72
-// empty shards (the PR 4 machine shape: 64 SMs + 8 stacks) at each fusion
-// width. width=72 is the unfused PR 4 schedule — one barrier participant per
-// shard; smaller widths show the fusion payoff; width=1 is the inline floor.
-func BenchmarkPhaseBarrier(b *testing.B) {
-	const n = 72
-	for _, c := range []struct {
-		name    string
-		width   int
-		workers int
-	}{
-		{"unfused72/w4", 72, 4},
-		{"fused8/w4", 8, 4},
-		{"fused4/w4", 4, 4},
-		{"fused2/w2", 2, 2},
-		{"inline", 1, 4},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			p := NewPool(c.workers)
-			defer p.Close()
-			shards := make([]Shard, n)
-			for i := range shards {
-				shards[i] = &nopShard{} // wake=0: always active, never elided
-			}
-			sh := NewSharded(p, shards...)
-			sh.SetFusion(c.width)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sh.Tick(PS(i))
-			}
-		})
-	}
-}
-
-// BenchmarkQuiescentBatch measures phase cost on a mostly-idle machine: one
-// busy shard among 71 provably-idle ones, with quiescence batching on (the
-// phase runs inline, no dispatch) and off (the full fused dispatch is paid
-// every phase). The gap is the quiescence payoff on idle-heavy workloads.
-func BenchmarkQuiescentBatch(b *testing.B) {
-	const n = 72
-	for _, c := range []struct {
-		name    string
-		quiesce bool
-	}{
-		{"on", true},
-		{"off", false},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			p := NewPool(4)
-			defer p.Close()
-			shards := make([]Shard, n)
-			for i := range shards {
-				shards[i] = &nopShard{wake: Never} // provably idle
-			}
-			shards[0] = &nopShard{} // the lone busy shard
-			sh := NewSharded(p, shards...)
-			sh.SetFusion(8)
-			sh.SetQuiescent(c.quiesce)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sh.Tick(PS(i))
-			}
-		})
-	}
-}

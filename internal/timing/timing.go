@@ -112,7 +112,6 @@ type Engine struct {
 	limit     PS
 	fired     bool
 	wakeCheck bool
-	preSteps  []func(now PS)
 	canceled  atomic.Bool
 }
 
@@ -125,13 +124,6 @@ func (e *Engine) Cancel() { e.canceled.Store(true) }
 
 // Canceled reports whether Cancel has been called.
 func (e *Engine) Canceled() bool { return e.canceled.Load() }
-
-// AddPreStep registers a hook that runs at the top of every engine step,
-// after the step's timestamp is fixed and before any domain fires. Parallel
-// execution uses it to pin time-dependent global state (the fault injector's
-// schedule) once per step, so concurrent shard queries within the step are
-// read-only.
-func (e *Engine) AddPreStep(f func(now PS)) { e.preSteps = append(e.preSteps, f) }
 
 // NewEngine returns an empty engine at time zero with idle skipping enabled.
 func NewEngine() *Engine { return &Engine{skip: true, limit: Never} }
@@ -308,9 +300,6 @@ func (e *Engine) Step() bool {
 	}
 	e.now = next
 	e.fired = false
-	for _, f := range e.preSteps {
-		f(next)
-	}
 	for _, d := range e.domains {
 		if d.next > next {
 			continue
@@ -376,9 +365,6 @@ func (e *Engine) stepDense() bool {
 		}
 	}
 	e.now = next
-	for _, f := range e.preSteps {
-		f(next)
-	}
 	for _, d := range e.domains {
 		if d.next == next {
 			d.Cycles++
