@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck version `make lint` and CI both use, so local and CI lint agree.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
+.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update clean
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,7 @@ install-staticcheck:
 # `make audit` when the memory system or protocol changed) before sending
 # a change out.
 check: build vet test-short test-backends-short
-	$(GO) test -race -short -timeout 20m ./internal/sim ./internal/noc ./internal/timing
-	$(GO) test -race -short -run '^TestChaosServe$$' -timeout 15m ./cmd/ndpserve
+	$(GO) test -race -short -timeout 20m ./internal/sim ./internal/noc ./internal/timing ./internal/experiments
 
 # Invariant audit: every Table 1 workload under baseline, naive-NDP, and
 # dynamic-NDP with all runtime invariant checkers enabled (internal/audit),
@@ -99,35 +98,6 @@ golden:
 golden-update:
 	$(GO) run ./cmd/ndpreport golden -out testdata/golden_digests.json
 	@echo "testdata/golden_digests.json refreshed; commit it with an explanation."
-
-# Service conformance suite under the race detector: scheduler semantics
-# (memoization, coalescing, fairness, backpressure, drain-on-shutdown), the
-# HTTP surface, the fuzz corpus as regression inputs, and the short load
-# phases. The full golden matrix (TestServedDigestsMatchGolden) is excluded
-# by -short; `make test` runs it.
-serve-test:
-	$(GO) test -race -short -timeout 15m ./internal/serve ./cmd/ndpserve
-	$(GO) test -race -short -run 'TestUseServerRoundTrip|TestSweepServerFlag' -timeout 5m ./internal/experiments ./cmd/ndpsweep
-
-# Load-test harness over the full HTTP stack (stub simulator): >=1000
-# concurrent in-flight requests with bounded memory, crisp 429 backpressure,
-# sustained throughput, and the >=100x memoized-replay speedup. Writes the
-# throughput summary CI uploads as an artifact.
-load-test:
-	NDPSERVE_LOAD_OUT=$(CURDIR)/load_test_summary.json $(GO) test -run '^TestLoadServe$$' -timeout 15m -v ./internal/serve
-	@echo "load_test_summary.json written"
-
-# Kill-and-restart chaos harness over the real server binary: concurrent load
-# of real simulations, SIGKILL at jittered points, restart on the same -data
-# dir, then assert the recovery invariants — every acknowledged result is
-# served from the journal cache byte-identical to the committed golden digests
-# with zero re-simulation, injected panics/hangs return structured 500s and
-# quarantine their key after K failures, and SIGTERM still drains cleanly.
-# Writes the recovery summary CI uploads as an artifact. `make check` runs the
-# one-round -short form.
-chaos-serve:
-	NDPSERVE_CHAOS_OUT=$(CURDIR)/chaos_serve_summary.json $(GO) test -race -run '^TestChaosServe$$' -timeout 20m -v ./cmd/ndpserve
-	@echo "chaos_serve_summary.json written"
 
 # One-iteration benchmark smoke with the ±25% wall-clock gate and the +10%
 # allocs/op gate against the recorded reference (fails only on regressions; a

@@ -14,10 +14,19 @@
 // paper design and a verdict on unrestricted placement vs co-location.
 // With -csvdir it also writes backends.csv.
 //
+// -cache DIR memoizes every simulated run in a checksummed journal under
+// DIR, keyed by the content digest of the run's resolved configuration,
+// workload, mode and scale. Re-running a sweep with the same -cache DIR
+// serves already-simulated points from the journal; the footer reports how
+// many runs were simulated and how many were cache hits. Each simulator
+// build gets its own subdirectory (named by the executable's SHA-256), so
+// a rebuilt binary starts cold.
+//
 // A failing experiment no longer aborts the sweep: the remaining
 // experiments still run (dependents of the failed one are skipped), a
-// FAILURES section lists every error, and the exit status is nonzero.
-// An unknown -exp name exits with status 2 and lists the valid names.
+// FAILURES section lists every error, and the exit status is nonzero. A
+// run that panics is reported as its experiment's error. An unknown -exp
+// name or an unusable -cache directory exits with status 2.
 package main
 
 import (
@@ -89,17 +98,17 @@ func run(args []string, w, werr io.Writer) int {
 	fs := flag.NewFlagSet("ndpsweep", flag.ContinueOnError)
 	fs.SetOutput(werr)
 	var (
-		exp     = fs.String("exp", "all", "experiment to run (see command doc)")
-		scale   = fs.Int("scale", 1, "problem-size scale factor")
-		audit   = fs.Bool("audit", false, "preflight the invariant audit suite before the sweep")
-		faults  = fs.String("faults", "", "fault schedule applied to every run (see README)")
-		csvDir  = fs.String("csvdir", "", "also write fig7/fig9 speedups as CSV into this directory")
-		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent simulations per experiment")
-		server  = fs.String("server", "", "client mode: route every run through the ndpserve instance at this base URL")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		mtxProf = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-		blkProf = fs.String("blockprofile", "", "write a blocking profile to this file on exit")
+		exp      = fs.String("exp", "all", "experiment to run (see command doc)")
+		scale    = fs.Int("scale", 1, "problem-size scale factor")
+		audit    = fs.Bool("audit", false, "preflight the invariant audit suite before the sweep")
+		faults   = fs.String("faults", "", "fault schedule applied to every run (see README)")
+		csvDir   = fs.String("csvdir", "", "also write fig7/fig9 speedups as CSV into this directory")
+		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent simulations per experiment")
+		cacheDir = fs.String("cache", "", "memoize runs in this directory and serve repeats from it")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		mtxProf  = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
+		blkProf  = fs.String("blockprofile", "", "write a blocking profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -127,18 +136,17 @@ func run(args []string, w, werr io.Writer) int {
 	defer stopProf()
 	experiments.Jobs = *jobs
 
-	// Client mode: every RunOne becomes an HTTP request against a running
-	// ndpserve instance, which memoizes by content digest — a re-sweep of
-	// already-served points costs map lookups, not simulations. -j still
-	// bounds client-side concurrency. UseLocal keeps repeated run() calls
-	// (tests) from leaking a stale executor into later sweeps.
-	experiments.UseLocal()
-	if *server != "" {
-		if err := experiments.UseServer(*server, "ndpsweep"); err != nil {
-			fmt.Fprintln(werr, "ndpsweep:", err)
+	if *cacheDir != "" {
+		closeCache, err := experiments.UseCache(*cacheDir)
+		if err != nil {
+			fmt.Fprintln(werr, "ndpsweep: -cache:", err)
 			return 2
 		}
-		defer experiments.UseLocal()
+		defer func() {
+			if err := closeCache(); err != nil {
+				fmt.Fprintln(werr, "ndpsweep: -cache:", err)
+			}
+		}()
 	}
 
 	cfg := config.Default()
@@ -293,11 +301,17 @@ func run(args []string, w, werr io.Writer) int {
 			check(l.name, l.fn(w, *scale))
 		}
 	}
-	if runs, wall, max, p50 := experiments.RunTallyDetail(); runs > 0 {
-		fmt.Fprintf(w, "\n[%s in %.1fs: %d runs, %.1fs run-wall total, %.2fs/run avg, %.2fs max, %.2fs p50, -j %d]\n",
-			*exp, time.Since(start).Seconds(), runs, wall.Seconds(),
+	runs, wall, max, p50 := experiments.RunTallyDetail()
+	_, hits := experiments.RunTally()
+	switch {
+	case runs > 0:
+		fmt.Fprintf(w, "\n[%s in %.1fs: %d runs simulated, %d cache hits, %.1fs run-wall total, %.2fs/run avg, %.2fs max, %.2fs p50, -j %d]\n",
+			*exp, time.Since(start).Seconds(), runs, hits, wall.Seconds(),
 			wall.Seconds()/float64(runs), max.Seconds(), p50.Seconds(), *jobs)
-	} else {
+	case hits > 0:
+		fmt.Fprintf(w, "\n[%s in %.1fs: 0 runs simulated, %d cache hits]\n",
+			*exp, time.Since(start).Seconds(), hits)
+	default:
 		fmt.Fprintf(w, "\n[%s in %.1fs]\n", *exp, time.Since(start).Seconds())
 	}
 	if len(failures) > 0 {

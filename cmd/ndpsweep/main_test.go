@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ndpgpu/internal/experiments"
-	"ndpgpu/internal/serve"
 )
 
 // TestUnknownExperimentExits2 pins the usage-error path: an unknown -exp name
@@ -76,34 +76,34 @@ func TestBadFlagExits2(t *testing.T) {
 	}
 }
 
-// TestSweepServerFlag covers the -server client-mode wiring: an unreachable
-// server is a usage error (exit 2, before any experiment runs), and a live
-// ndpserve instance carries a sweep experiment end to end. The round-trip
-// equality of served vs local runs is pinned separately by
-// experiments.TestUseServerRoundTrip.
-func TestSweepServerFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-server", "http://127.0.0.1:1", "-exp", "fig5"}, &out, &errBuf); code != 2 {
-		t.Fatalf("unreachable server: exit = %d, want 2\nstderr: %s", code, errBuf.String())
+// TestSweepCacheFlag covers the -cache wiring: a directory that cannot be
+// created is a usage error (exit 2, before any experiment runs), and a
+// usable one carries a sweep end to end and is closed again when run()
+// returns. Hit/miss behavior is pinned by the experiments cache tests.
+func TestSweepCacheFlag(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errBuf.String(), "unreachable") {
-		t.Fatalf("stderr does not explain the unreachable server: %q", errBuf.String())
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-cache", file, "-exp", "fig5"}, &out, &errBuf); code != 2 {
+		t.Fatalf("unusable cache dir: exit = %d, want 2\nstderr: %s", code, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "-cache") {
+		t.Fatalf("stderr does not name the -cache flag: %q", errBuf.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("experiments ran despite the usage error: %s", out.String())
 	}
 
-	sched := serve.New(serve.Options{Workers: 2, QueueCap: 64, Runner: experiments.ServeRunner()})
-	ts := httptest.NewServer(serve.NewServer(sched))
-	defer func() {
-		ts.Close()
-		sched.Shutdown()
-	}()
-	// fig5 needs no simulation, so this exercises flag wiring, the health
-	// probe, and seam install/teardown without a costly sweep.
+	// fig5 needs no simulation, so this exercises flag wiring and cache
+	// open/close without a costly sweep.
 	out.Reset()
 	errBuf.Reset()
-	if code := run([]string{"-server", ts.URL, "-exp", "fig5"}, &out, &errBuf); code != 0 {
+	if code := run([]string{"-cache", t.TempDir(), "-exp", "fig5"}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, errBuf.String())
 	}
-	if experiments.Exec != nil {
-		t.Fatal("run() leaked the server executor after returning")
+	if experiments.CacheOpen() {
+		t.Fatal("run() left the run cache installed after returning")
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"strings"
 )
 
-// This file is the service-facing surface of the configuration: named
-// override knobs a run request may carry (ndpserve's "overrides" field) and
-// the canonical serialization the request digest is computed over.
+// This file is the request-facing surface of the configuration: named
+// override knobs a run request may carry (serve.RunRequest's "overrides"
+// field) and the canonical serialization the request digest — the
+// ndpsweep -cache key — is computed over.
 //
 // Overrides are applied in sorted key order, so two requests naming the same
 // knobs produce the same Config — and therefore the same canonical bytes and

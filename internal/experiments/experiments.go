@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,6 @@ import (
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/energy"
-	"ndpgpu/internal/serve"
 	"ndpgpu/internal/sim"
 	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
@@ -33,32 +33,29 @@ func Workloads() []string { return workloads.Abbrs() }
 // -j flag); runAll reads it without synchronization.
 var Jobs int
 
-// Exec, when non-nil, replaces local execution for every RunOne call —
-// ndpsweep's -server client mode points it at a running ndpserve instance
-// (see UseServer). RunOneWith always executes locally: its prep hook hands
-// out the assembled machine, which cannot cross the wire.
-var Exec func(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run
-
 // tally accumulates wall-clock cost across every RunOneWith call so sweeps
-// can report per-run cost alongside the total (atomics for the hot counters,
-// a mutex-guarded slice for the distribution: runs execute on the runAll
-// worker pool).
+// can report per-run cost alongside the total, and counts the runs the
+// cache answered without simulating (atomics for the hot counters, a
+// mutex-guarded slice for the distribution: runs execute on the runAll
+// workers).
 var tally struct {
 	runs   atomic.Int64
+	hits   atomic.Int64
 	wallNS atomic.Int64
 	mu     sync.Mutex
 	durs   []time.Duration
 }
 
-// RunTally reports how many simulations have completed in this process and
-// their summed wall-clock time.
-func RunTally() (runs int64, wall time.Duration) {
-	return tally.runs.Load(), time.Duration(tally.wallNS.Load())
+// RunTally reports how many runs this process has simulated and how many
+// the run cache answered instead.
+func RunTally() (simulated, cacheHits int64) {
+	return tally.runs.Load(), tally.hits.Load()
 }
 
-// RunTallyDetail extends RunTally with the per-run distribution: the longest
-// single run (the critical path a -j pool cannot shrink below) and the median
-// run. Zero durations when no runs have completed.
+// RunTallyDetail reports the simulated runs with their summed wall-clock
+// time and distribution: the longest single run (the critical path -j cannot
+// shrink below) and the median run. Zero durations when no runs have
+// completed.
 func RunTallyDetail() (runs int64, total, max, p50 time.Duration) {
 	runs = tally.runs.Load()
 	total = time.Duration(tally.wallNS.Load())
@@ -103,15 +100,11 @@ func recordTally(d time.Duration) {
 }
 
 // RunOne builds the workload, runs it under the mode, verifies the output,
-// and computes energy — locally, or through the Exec seam when a remote
-// executor is installed.
+// and computes energy — or, when a run cache is open (UseCache), returns the
+// memoized result of an identical earlier run.
 func RunOne(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run {
-	if Exec != nil {
-		start := time.Now()
-		run := Exec(cfg, abbr, mode, scale)
-		run.Wall = time.Since(start)
-		recordTally(run.Wall)
-		return run
+	if cache != nil {
+		return cache.run(cfg, abbr, mode, scale)
 	}
 	return RunOneWith(cfg, abbr, mode, scale, nil)
 }
@@ -162,34 +155,50 @@ type job struct {
 	cfg      config.Config
 }
 
-// runAll executes the jobs on a bounded serve.Pool (each machine is
-// independent) and returns results keyed by workload|mode. Tasks write into
-// an index-addressed slice, so the result set is deterministic regardless of
-// scheduling order. The pool type is the same one the ndpserve scheduler
-// dispatches on — ndpsweep -j and the service share one implementation.
+// runAll executes the jobs on Jobs worker goroutines (each machine is
+// independent) and returns results keyed by workload|mode. Workers write
+// into an index-addressed slice, so the result set is deterministic
+// regardless of scheduling order.
 func runAll(jobs []job, scale int) map[string]*Run {
 	runs := make([]*Run, len(jobs))
 	workers := Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	workers = min(workers, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				runs[i] = runJob(jobs[i], scale)
+			}
+		}()
 	}
-	pool := serve.NewPool(workers)
-	for i := range jobs {
-		i := i
-		pool.Go(func() {
-			j := jobs[i]
-			runs[i] = RunOne(j.cfg, j.workload, j.mode, scale)
-		})
-	}
-	pool.Close() // drain and join
+	wg.Wait()
 	res := make(map[string]*Run, len(jobs))
 	for i, j := range jobs {
 		res[j.workload+"|"+j.mode.Name] = runs[i]
 	}
 	return res
+}
+
+// runJob runs one job, turning a panic anywhere in the run into the job's
+// error so one broken leg fails its experiment instead of the whole sweep.
+func runJob(j job, scale int) (run *Run) {
+	defer func() {
+		if r := recover(); r != nil {
+			run = &Run{Workload: j.workload, Mode: j.mode.Name, Cfg: j.cfg,
+				Err: fmt.Errorf("%s/%s: panic: %v\n%s", j.workload, j.mode.Name, r, debug.Stack())}
+		}
+	}()
+	return RunOne(j.cfg, j.workload, j.mode, scale)
 }
 
 func get(m map[string]*Run, wl, mode string) *Run { return m[wl+"|"+mode] }

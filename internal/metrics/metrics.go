@@ -93,8 +93,6 @@ type Collector struct {
 	spans        []Span
 	spansDropped int64
 
-	hook func(now timing.PS, cycles int64) // fired after every Sample
-
 	meta map[string]string
 }
 
@@ -112,14 +110,6 @@ func (c *Collector) Interval() int64 { return c.interval }
 
 // SetMeta attaches a key/value annotation carried into every export.
 func (c *Collector) SetMeta(k, v string) { c.meta[k] = v }
-
-// SetSampleHook registers fn to run after every boundary sample with the
-// sample time and the SM cycles elapsed so far — the event source behind
-// ndpserve's streaming progress. The hook runs on the engine goroutine's
-// serial section, so it must not block; publish-and-drop is the expected
-// discipline. A nil hook (the default) keeps Sample allocation- and
-// call-free, preserving the layer's strict no-op contract.
-func (c *Collector) SetSampleHook(fn func(now timing.PS, cycles int64)) { c.hook = fn }
 
 func (c *Collector) add(p *probe) {
 	c.probes = append(c.probes, p)
@@ -199,9 +189,6 @@ func (c *Collector) Sample(now timing.PS) {
 			}
 		}
 		c.samples[i] = append(c.samples[i], v)
-	}
-	if c.hook != nil {
-		c.hook(now, c.cycles)
 	}
 }
 

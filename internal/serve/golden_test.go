@@ -2,28 +2,21 @@ package serve_test
 
 import (
 	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"ndpgpu/internal/experiments"
-	"ndpgpu/internal/serve"
 	"ndpgpu/internal/sim"
 )
 
-// TestServedDigestsMatchGolden is the deterministic-cache property test: for
-// every tier-1 workload x golden mode, the digest served over HTTP by the
-// real simulator must be byte-identical to the committed regression file
-// (testdata/golden_digests.json) and — spot-checked on VADD — to a direct
-// experiments run in the same process. The service can never serve a result
-// the CLI would not produce.
-//
-// It then replays one leg and pins the memoization economics on the real
-// simulator: the repeat costs a map lookup, >=100x faster than the cold run.
+// TestServedDigestsMatchGolden is the deterministic-cache property test:
+// "cached digest == fresh run digest". A cold pass over every tier-1
+// workload x golden mode through the run cache (ndpsweep -cache) must
+// produce digests byte-identical to the committed regression file
+// (testdata/golden_digests.json). Reopening the same cache directory — a
+// new process, as far as the journal can tell — and repeating the pass
+// must simulate nothing and serve the same digests from the journal.
 func TestServedDigestsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full golden matrix on the real simulator")
@@ -38,100 +31,52 @@ func TestServedDigestsMatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sched := serve.New(serve.Options{Workers: 2, QueueCap: 64, Runner: experiments.ServeRunner()})
-	ts := httptest.NewServer(serve.NewServer(sched))
-	defer func() {
-		ts.Close()
-		sched.Shutdown()
-	}()
-
 	// The golden file is computed with the audit configuration at scale 1
-	// (cmd/ndpreport golden); ship that config explicitly so the served run
-	// is the same machine.
+	// (cmd/ndpreport golden).
 	cfg := sim.AuditConfig()
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := []struct{ spec, name string }{
-		{"baseline", sim.Baseline.Name},
-		{"naive", sim.NaiveNDP.Name},
-		{"dyn", sim.DynNDP.Name},
-	}
+	modes := []sim.Mode{sim.Baseline, sim.NaiveNDP, sim.DynNDP}
+	dir := t.TempDir()
 
-	post := func(workload, spec string) (*serve.RunResponse, time.Duration) {
+	pass := func(name string) (simulated, hits int64) {
 		t.Helper()
-		body := fmt.Sprintf(`{"workload":%q,"mode":%q,"config":%s}`, workload, spec, cfgJSON)
-		begin := time.Now()
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		closeCache, err := experiments.UseCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		wall := time.Since(begin)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s/%s: status %d", workload, spec, resp.StatusCode)
+		defer func() {
+			if err := closeCache(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		start := time.Now()
+		sim0, hits0 := experiments.RunTally()
+		for _, wl := range experiments.Workloads() {
+			for _, m := range modes {
+				want, ok := golden[experiments.GoldenKey(wl, m.Name)]
+				if !ok {
+					t.Fatalf("golden file has no entry for %s|%s", wl, m.Name)
+				}
+				run := experiments.RunOne(cfg, wl, m, 1)
+				if run.Err != nil {
+					t.Fatalf("%s pass %s/%s: %v", name, wl, m.Name, run.Err)
+				}
+				d := run.Stats.Digest()
+				d["TimePS"] = float64(run.TimePS)
+				d["EnergyTotalPJ"] = run.Energy.Total()
+				diffDigest(t, name+" "+wl+"/"+m.Name, d, want)
+			}
 		}
-		var rr serve.RunResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		return &rr, wall
+		sim1, hits1 := experiments.RunTally()
+		t.Logf("%s pass: %d simulated, %d cache hits in %v", name, sim1-sim0, hits1-hits0, time.Since(start))
+		return sim1 - sim0, hits1 - hits0
 	}
 
-	var slowest struct {
-		workload, spec string
-		wall           time.Duration
+	legs := int64(len(experiments.Workloads()) * len(modes))
+	if simulated, hits := pass("cold"); simulated != legs || hits != 0 {
+		t.Fatalf("cold pass: %d simulated, %d cache hits; want %d and 0", simulated, hits, legs)
 	}
-	legs := 0
-	for _, wl := range experiments.Workloads() {
-		for _, m := range modes {
-			want, ok := golden[experiments.GoldenKey(wl, m.name)]
-			if !ok {
-				t.Fatalf("golden file has no entry for %s|%s", wl, m.name)
-			}
-			rr, wall := post(wl, m.spec)
-			if rr.Cached {
-				t.Fatalf("%s/%s: distinct leg served from cache (key collision?)", wl, m.spec)
-			}
-			diffDigest(t, wl+"/"+m.spec, rr.Digest, want)
-			if wall > slowest.wall {
-				slowest.workload, slowest.spec, slowest.wall = wl, m.spec, wall
-			}
-			legs++
-		}
-	}
-	t.Logf("%d legs served and matched against golden digests", legs)
-
-	// Direct-run comparison, same process, no HTTP: the served digest for
-	// VADD must equal what the experiments layer computes locally.
-	for _, m := range modes {
-		mode, mcfg, err := sim.ParseMode(m.spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := experiments.RunOneWith(mcfg, "VADD", mode, 1, nil)
-		if run.Err != nil {
-			t.Fatalf("direct VADD/%s: %v", m.spec, run.Err)
-		}
-		d := run.Stats.Digest()
-		d["TimePS"] = float64(run.TimePS)
-		d["EnergyTotalPJ"] = run.Energy.Total()
-		rr, _ := post("VADD", m.spec)
-		if !rr.Cached {
-			t.Fatalf("VADD/%s replay was not a cache hit", m.spec)
-		}
-		diffDigest(t, "direct VADD/"+m.spec, rr.Digest, d)
-	}
-
-	// Memoized replay of the slowest leg: >=100x faster than its cold run.
-	rr, warm := post(slowest.workload, slowest.spec)
-	if !rr.Cached {
-		t.Fatalf("%s/%s replay missed the cache", slowest.workload, slowest.spec)
-	}
-	if speedup := float64(slowest.wall) / float64(warm); speedup < 100 {
-		t.Errorf("cached replay of %s/%s only %.1fx faster (cold %v, warm %v), want >= 100x",
-			slowest.workload, slowest.spec, speedup, slowest.wall, warm)
+	if simulated, hits := pass("warm"); simulated != 0 || hits != legs {
+		t.Fatalf("warm pass: %d simulated, %d cache hits; want 0 and %d", simulated, hits, legs)
 	}
 }
 

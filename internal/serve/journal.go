@@ -1,3 +1,8 @@
+// Package serve holds the two pieces of the retired simulation service that
+// memoized re-sweeps still use: the canonical run request, whose content
+// digest keys a result, and the checksummed append-only journal that stores
+// results under that key. ndpsweep -cache (internal/experiments) is their
+// only user.
 package serve
 
 import (
@@ -13,9 +18,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ndpgpu/internal/stats"
 )
 
-// Journal file layout (results.journal under the -data dir):
+// Outcome is one completed simulation, in the golden-digest format: the
+// flattened counter digest (stats.Digest plus TimePS and EnergyTotalPJ) and
+// the full statistics bundle a cache hit rebuilds its Run from.
+type Outcome struct {
+	Digest   map[string]float64 `json:"digest"`
+	Stats    *stats.Stats       `json:"stats,omitempty"`
+	TimePS   int64              `json:"time_ps"`
+	EnergyPJ float64            `json:"energy_pj"`
+	Wall     time.Duration      `json:"wall_ns"` // simulation wall time (cold)
+}
+
+// Journal file layout (results.journal in the cache directory):
 //
 //	"ndpjournal-v1\n"                    file magic
 //	repeat:
@@ -59,7 +77,7 @@ type ReplayStats struct {
 	ReplayMS       float64 `json:"replay_ms"`
 }
 
-// JournalStats is the journal section of /status.
+// JournalStats is the journal's append accounting.
 type JournalStats struct {
 	Path     string      `json:"path"`
 	Appends  int64       `json:"appends"` // durable records acknowledged this process
@@ -70,8 +88,8 @@ type JournalStats struct {
 
 // Journal is the append-only, checksummed, fsync-batched store of
 // (canonical request key -> outcome) records that survives kill -9: on
-// restart, Replay hands the scheduler every completed result so only
-// in-flight runs are lost.
+// reopen, Replay hands back every completed result so only in-flight runs
+// are lost.
 type Journal struct {
 	path string
 	f    *os.File
@@ -135,7 +153,7 @@ func syncDir(dir string) {
 // Replay reads every intact record, truncates any torn tail, compacts the
 // file when recovery found waste (torn bytes or duplicate keys), and starts
 // the append writer. It must be called exactly once, before any Append; the
-// returned map seeds Scheduler.Restore.
+// returned map is the warm cache.
 func (j *Journal) Replay() (map[string]*Outcome, ReplayStats, error) {
 	start := time.Now()
 	if j.replayed {
@@ -350,7 +368,7 @@ func (j *Journal) writer() {
 	}
 }
 
-// Stats returns the journal's accounting for /status.
+// Stats returns the journal's accounting.
 func (j *Journal) Stats() JournalStats {
 	return JournalStats{
 		Path:     j.path,

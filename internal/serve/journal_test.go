@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -299,61 +298,5 @@ func TestJournalGroupCommit(t *testing.T) {
 				t.Fatalf("lost or mangled %s: %+v", key, got)
 			}
 		}
-	}
-}
-
-// TestSchedulerJournalRecovery is the in-process kill-and-restart property:
-// results served by one scheduler, journaled, then restored into a fresh
-// scheduler (a "restarted process"), must serve as cache hits with zero
-// re-simulation.
-func TestSchedulerJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	j, recovered, _ := openReplayed(t, dir)
-	stub := newStubSim(0)
-	s := New(Options{Workers: 2, QueueCap: 16, Runner: stub.runner(), Journal: j})
-	if n := s.Restore(recovered); n != 0 {
-		t.Fatalf("fresh journal restored %d entries", n)
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		req := reqFor(t, "VADD", seed, "c")
-		served, err := s.Submit(context.Background(), req)
-		if err != nil || served.Outcome == nil {
-			t.Fatal(err)
-		}
-	}
-	s.Shutdown()
-	j.Close()
-
-	// "Restart": fresh journal handle, fresh scheduler, fresh stub.
-	j2, recovered2, st := openReplayed(t, dir)
-	defer j2.Close()
-	if st.Records != 8 {
-		t.Fatalf("replayed %d records, want 8", st.Records)
-	}
-	stub2 := newStubSim(0)
-	s2 := New(Options{Workers: 2, QueueCap: 16, Runner: stub2.runner(), Journal: j2})
-	defer s2.Shutdown()
-	if n := s2.Restore(recovered2); n != 8 {
-		t.Fatalf("restored %d entries, want 8", n)
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		req := reqFor(t, "VADD", seed, "c")
-		served, err := s2.Submit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !served.Cached {
-			t.Fatalf("seed %d not served from the restored cache", seed)
-		}
-		if served.Outcome.TimePS != 42 {
-			t.Fatalf("restored outcome mangled: %+v", served.Outcome)
-		}
-	}
-	if got := stub2.totalExecs(); got != 0 {
-		t.Fatalf("restart re-simulated %d journaled keys, want 0", got)
-	}
-	snap := s2.Snapshot()
-	if snap.Executed != 0 || snap.Recovered != 8 || snap.CacheHits != 8 {
-		t.Fatalf("post-restart counters: %+v", snap)
 	}
 }

@@ -16,11 +16,11 @@ import (
 )
 
 // MaxScale bounds the problem-size scale a request may ask for; a runaway
-// scale is an admission-time client error, not a worker-pool stall.
+// scale is a request error, not a stalled run.
 const MaxScale = 1 << 20
 
-// RunRequest is the wire form of one simulation request (POST /run). All
-// fields but Workload are optional; unknown fields are rejected.
+// RunRequest is the JSON form of one simulation request. All fields but
+// Workload are optional; unknown fields are rejected.
 type RunRequest struct {
 	// Workload is the Table 1 abbreviation (VADD, BFS, ...).
 	Workload string `json:"workload"`
@@ -40,8 +40,8 @@ type RunRequest struct {
 	// Config, when present, replaces config.Default() as the base the mode
 	// and overrides are applied to. Field names follow internal/config.
 	Config *config.Config `json:"config,omitempty"`
-	// Client identifies the submitter for round-robin fairness; falls back
-	// to the X-Client header, then the remote address.
+	// Client is a free-form submitter label. It is carried through but
+	// never part of the key.
 	Client string `json:"client,omitempty"`
 }
 

@@ -43,11 +43,12 @@ func ParseMode(name string, cfg config.Config) (Mode, config.Config, error) {
 }
 
 // SpecFor maps a Mode back to a CLI spelling ParseMode accepts, keyed purely
-// by the mode's mechanism flags — the inverse ndpserve clients use to ship a
-// locally-constructed Mode over the wire. Display names are not round-tripped
-// ("Baseline_MoreCore" maps to "baseline": its SM-count adjustment lives in
-// the Config the request carries, and re-spelling it "morecore" would apply
-// the adjustment a second time server-side).
+// by the mode's mechanism flags — the inverse the ndpsweep -cache key uses to
+// spell a locally-constructed Mode as a run request. Display names are not
+// round-tripped ("Baseline_MoreCore" maps to "baseline": its SM-count
+// adjustment lives in the Config the request carries, and re-spelling it
+// "morecore" would apply the adjustment a second time when the request is
+// canonicalized).
 func SpecFor(m Mode) string {
 	switch {
 	case !m.NDP:

@@ -14,7 +14,7 @@ import (
 )
 
 // The engine is serial: one run uses one core. Cores pay off across runs
-// instead (ndpsweep -j, the ndpserve worker pool), which is only sound if
+// instead (ndpsweep -j), which is only sound if
 // independent Machines in one process share no mutable state. The tests in
 // this file pin that: a run made while other runs execute on other
 // goroutines must be bit-identical to the same run made alone.

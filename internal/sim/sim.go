@@ -4,7 +4,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"ndpgpu/internal/analyzer"
@@ -462,16 +461,6 @@ func (m *Machine) done() bool {
 // scaled workload; hitting it means livelock.
 const DefaultLimitPS = timing.PS(1e12)
 
-// ErrCanceled reports a run stopped by Machine.Cancel before quiescence.
-var ErrCanceled = errors.New("sim: run canceled")
-
-// Cancel requests a cooperative stop of a running machine: the tick engine
-// exits at its next step boundary and Run
-// returns an error wrapping ErrCanceled. Cancel is the one Machine method
-// safe to call from another goroutine — it is how a service watchdog unwedges
-// a hung or runaway simulation without corrupting its state.
-func (m *Machine) Cancel() { m.engine.Cancel() }
-
 // Run executes the kernel to completion (or the time limit) and returns the
 // collected results. Run may only be called once per Machine.
 func (m *Machine) Run(limitPS timing.PS) (*Result, error) {
@@ -480,14 +469,11 @@ func (m *Machine) Run(limitPS timing.PS) (*Result, error) {
 	}
 	_, ok := m.engine.RunUntil(m.done, limitPS)
 	m.finalize()
-	if m.aud != nil && !(m.engine.Canceled() && !ok) {
+	if m.aud != nil {
 		m.aud.RunChecks(m.engine.Now(), true)
 	}
 	res := &Result{Stats: m.St, Cycles: m.St.SMCycles, TimePS: m.St.ElapsedPS, TimedOut: !ok}
 	if !ok {
-		if m.engine.Canceled() {
-			return res, fmt.Errorf("%w at %d ps", ErrCanceled, m.engine.Now())
-		}
 		return res, fmt.Errorf("sim: run exceeded %d ps without quiescing", limitPS)
 	}
 	if !m.g.BufferManager().AllReturned() {

@@ -42,7 +42,6 @@ package timing
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // PS is a simulated time in picoseconds.
@@ -112,18 +111,7 @@ type Engine struct {
 	limit     PS
 	fired     bool
 	wakeCheck bool
-	canceled  atomic.Bool
 }
-
-// Cancel requests a cooperative stop: RunUntil returns (ok=false) at the next
-// step boundary instead of advancing further. Cancel is the only Engine
-// method that is safe to call from another goroutine — everything else stays
-// single-threaded — which is exactly what a run watchdog needs to unwedge a
-// hung simulation without racing its state.
-func (e *Engine) Cancel() { e.canceled.Store(true) }
-
-// Canceled reports whether Cancel has been called.
-func (e *Engine) Canceled() bool { return e.canceled.Load() }
 
 // NewEngine returns an empty engine at time zero with idle skipping enabled.
 func NewEngine() *Engine { return &Engine{skip: true, limit: Never} }
@@ -396,7 +384,7 @@ func (e *Engine) RunUntil(done func() bool, limitPS PS) (steps int64, ok bool) {
 		if check && done() {
 			return steps, true
 		}
-		if e.now >= limitPS || e.canceled.Load() {
+		if e.now >= limitPS {
 			return steps, false
 		}
 		if !e.Step() {

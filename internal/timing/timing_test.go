@@ -121,42 +121,6 @@ func TestRunUntilTimeout(t *testing.T) {
 	}
 }
 
-func TestRunUntilCancel(t *testing.T) {
-	e := NewEngine()
-	d := e.AddDomain("d", 100)
-	n := 0
-	d.Attach(TickFunc(func(PS) {
-		n++
-		if n == 5 {
-			e.Cancel() // a watchdog would call this from another goroutine
-		}
-	}))
-	steps, ok := e.RunUntil(func() bool { return false }, 1<<40)
-	if ok {
-		t.Fatal("canceled run reported success")
-	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() false after Cancel")
-	}
-	if steps != 5 || n != 5 {
-		t.Fatalf("steps=%d n=%d, want 5/5: cancel must stop at the next step boundary", steps, n)
-	}
-}
-
-func TestCancelDoesNotMaskQuiescence(t *testing.T) {
-	// A run that satisfies its done predicate on the same step the cancel
-	// lands still counts as a clean quiescence.
-	e := NewEngine()
-	d := e.AddDomain("d", 100)
-	n := 0
-	d.Attach(TickFunc(func(PS) { n++ }))
-	e.Cancel()
-	_, ok := e.RunUntil(func() bool { return true }, 1<<40)
-	if !ok {
-		t.Fatal("already-done run reported cancellation")
-	}
-}
-
 func TestStepEmptyEngine(t *testing.T) {
 	if NewEngine().Step() {
 		t.Fatal("empty engine should not step")
