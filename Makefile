@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck version `make lint` and CI both use, so local and CI lint agree.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update clean
+.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history bench-golden test-backends test-backends-short golden golden-update clean
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,16 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSingleRunVADD$$' -benchmem -benchtime 3x \
 		-cpuprofile bench_cpu.pprof -memprofile bench_mem.pprof .
 	@echo "wrote bench_cpu.pprof bench_mem.pprof (go tool pprof <file>)"
+
+# Simulator benchmark on the Table 2 machine (simbench/, its own module): the
+# benchmark's own tests, then one short untraced run of each workload at
+# placement 42. run.sh exits 1 on any verify failure or any digest that
+# differs from simbench/golden_table2.json, so this is the golden gate for
+# the 64-SM legs, where the credit-retry path runs millions of times.
+bench-golden:
+	cd simbench && $(GO) test ./...
+	bash simbench/run.sh --workload baseline-suite --seed 42 --seconds 1 --trace 0
+	bash simbench/run.sh --workload dyn-mixed --seed 42 --seconds 1 --trace 0
 
 # Trend table across every recorded BENCH_*.json.
 bench-history:

@@ -56,13 +56,10 @@ func main() {
 		mInt     = flag.Int64("minterval", 0, "metrics sampling interval in SM cycles (0 = the Algorithm-1 epoch)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mtxProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-		blkProf  = flag.String("blockprofile", "", "write a blocking profile to this file on exit")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.StartOpts(prof.Options{
-		CPU: *cpuProf, Mem: *memProf, Mutex: *mtxProf, Block: *blkProf})
+	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
 	}

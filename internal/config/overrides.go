@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the request-facing surface of the configuration: named
-// override knobs a run request may carry (serve.RunRequest's "overrides"
+// override knobs a run request may carry (serve.RunRequest's Overrides
 // field) and the canonical serialization the request digest — the
 // ndpsweep -cache key — is computed over.
 //

@@ -16,6 +16,12 @@ import (
 // harness builds a minimal GPU around a kernel for white-box tests.
 func harness(t *testing.T, k *kernel.Kernel) (*GPU, *SM, *warp) {
 	t.Helper()
+	return harnessWith(t, k, core.Never{})
+}
+
+// harnessWith is harness with the given offload decider.
+func harnessWith(t *testing.T, k *kernel.Kernel, dec core.Decider) (*GPU, *SM, *warp) {
+	t.Helper()
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 1
 	mem := vm.New(cfg)
@@ -26,7 +32,7 @@ func harness(t *testing.T, k *kernel.Kernel) (*GPU, *SM, *warp) {
 	}
 	st := stats.New()
 	fab := noc.NewFabric(cfg, st)
-	g := New(cfg, prog, mem, fab, st, core.Never{})
+	g := New(cfg, prog, mem, fab, st, dec)
 	sm := g.sms[0]
 	sm.refill()
 	if sm.warps[0] == nil {
@@ -244,5 +250,129 @@ func TestMaxResidentCTAsScratchpadLimit(t *testing.T) {
 	_, sm, _ := harness(t, k)
 	if got := sm.maxResidentCTAs(); got != 2 {
 		t.Fatalf("resident CTAs = %d, want 2 (scratchpad limit)", got)
+	}
+}
+
+// offloadHarness enters simpleKernel's offload block on an always-offload
+// GPU whose command credits are all taken: it returns the block's first
+// memory instruction with the warp at it, and the OFLDBEG command sitting in
+// the pending buffer.
+func offloadHarness(t *testing.T) (*GPU, *SM, *warp, isa.Instr) {
+	t.Helper()
+	g, sm, w := harnessWith(t, simpleKernel(t), core.Always{})
+	for tgt := 0; tgt < g.bufmgr.NumTargets(); tgt++ {
+		for g.bufmgr.Available(tgt, core.CmdBuffer) > 0 {
+			g.bufmgr.Reserve(tgt, 0, 0)
+		}
+	}
+	code := g.prog.Kernel.Code
+	w.pc = g.prog.Blocks[0].BegPC
+	if !sm.execOffload(w, code[w.pc], 0) || w.off == nil || len(sm.pendingQ) != 1 {
+		t.Fatal("OFLDBEG did not start an offload instance")
+	}
+	for code[w.pc].Op != isa.LD {
+		w.pc++
+	}
+	return g, sm, w, code[w.pc]
+}
+
+// setAddrs points every thread of the warp at consecutive words from base.
+func setAddrs(w *warp, in isa.Instr, base uint64) {
+	for tid := 0; tid < 32; tid++ {
+		w.regs[in.Src[0]][tid] = base + uint64(4*tid)
+	}
+}
+
+// otherHomePage returns a page-aligned address in the harness heap whose
+// stack differs from hmc.
+func otherHomePage(t *testing.T, g *GPU, hmc int) uint64 {
+	t.Helper()
+	for a := uint64(0x10000); a < 0x100000; a += uint64(g.cfg.Mem.PageBytes) {
+		if g.mem.HMCOf(a) != hmc {
+			return a
+		}
+	}
+	t.Fatal("every heap page is on one stack")
+	return 0
+}
+
+func TestCreditRejectReusesTarget(t *testing.T) {
+	g, sm, w, in := offloadHarness(t)
+	const base = 0x10000
+	setAddrs(w, in, base)
+	target := g.mem.HMCOf(base)
+	pc := w.pc
+
+	if sm.setupMem(w, in, 0) {
+		t.Fatal("reservation succeeded without command credits")
+	}
+	ctx := w.off
+	if !ctx.targetPicked || ctx.targetKnown || ctx.target != target {
+		t.Fatalf("first attempt: picked=%v known=%v target=%d, want target %d",
+			ctx.targetPicked, ctx.targetKnown, ctx.target, target)
+	}
+	// The retry must not look at the address registers again: point them
+	// at another stack, which a fresh pick would choose.
+	setAddrs(w, in, otherHomePage(t, g, target))
+	if sm.setupMem(w, in, 1) {
+		t.Fatal("retry succeeded without command credits")
+	}
+	if ctx.target != target {
+		t.Fatalf("retry re-picked target %d, want memoized %d", ctx.target, target)
+	}
+	if g.st.CreditStalls != 2 || g.bufmgr.Rejects != 2 || g.bufmgr.TargetRejects(target) != 2 {
+		t.Fatalf("CreditStalls=%d Rejects=%d target rejects=%d, want 2 each",
+			g.st.CreditStalls, g.bufmgr.Rejects, g.bufmgr.TargetRejects(target))
+	}
+	if w.pc != pc || len(w.memq) != 0 || len(sm.pendingQ) != 1 || len(sm.readyQ) != 0 {
+		t.Fatal("a rejected attempt changed the warp or the packet buffers")
+	}
+
+	g.bufmgr.Return(target, core.CmdBuffer, 1)
+	if !sm.setupMem(w, in, 2) {
+		t.Fatal("reservation failed after a command credit came back")
+	}
+	if !ctx.targetKnown || ctx.target != target || g.st.CreditStalls != 2 {
+		t.Fatalf("known=%v target=%d stalls=%d", ctx.targetKnown, ctx.target, g.st.CreditStalls)
+	}
+	if len(sm.pendingQ) != 0 || len(sm.readyQ) != 1 || sm.readyQ[0].target != target {
+		t.Fatalf("command not released to target %d: pending=%d ready=%+v",
+			target, len(sm.pendingQ), sm.readyQ)
+	}
+	if cmd := sm.readyQ[0].msg.(*core.CmdPacket); cmd.Target != target {
+		t.Fatalf("command targets %d, want %d", cmd.Target, target)
+	}
+	memq := append([]microOp(nil), w.memq...)
+	want := sm.coalesce(w, in, w.effMask(in))
+	if len(memq) != len(want) {
+		t.Fatalf("%d micro-ops, coalesce gives %d lines", len(memq), len(want))
+	}
+	for i, op := range memq {
+		if op.access != want[i] || !op.offload || op.total != len(want) {
+			t.Fatalf("micro-op %d = %+v, want access %+v", i, op, want[i])
+		}
+	}
+	if w.pc != pc+1 {
+		t.Fatalf("pc = %d, want %d", w.pc, pc+1)
+	}
+}
+
+// A page migration between attempts can change the majority home, so the
+// memoized target is dropped and the next attempt picks again.
+func TestCreditRejectRepicksAfterPageMove(t *testing.T) {
+	g, sm, w, in := offloadHarness(t)
+	const base = 0x10000
+	setAddrs(w, in, base)
+	first := g.mem.HMCOf(base)
+	if sm.setupMem(w, in, 0) {
+		t.Fatal("reservation succeeded without command credits")
+	}
+	moved := (first + 1) % g.cfg.NumHMCs
+	g.mem.PlacePage(base, moved)
+	if sm.setupMem(w, in, 1) {
+		t.Fatal("retry succeeded without command credits")
+	}
+	if w.off.target != moved || g.bufmgr.TargetRejects(moved) != 1 {
+		t.Fatalf("target = %d after the page moved to %d", w.off.target, moved)
 	}
 }

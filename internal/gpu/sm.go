@@ -28,11 +28,19 @@ type offCtx struct {
 	block       *coreBlock
 	id          core.OffloadID
 	target      int
-	targetKnown bool
-	seqLD       int
-	seqST       int
-	began       timing.PS // OFLDBEG issue time, for ack-latency accounting
-	cmdBytes    int       // command-packet register payload, for transfer profiling
+	targetKnown bool // target reserved and the command released (§4.3)
+
+	// targetPicked marks target as chosen by the block's first memory
+	// instruction on the fault-free path while the reservation is still
+	// pending; placeGen is the page placement it was chosen under. Both
+	// fit in targetKnown's padding, so the context stays 96 bytes.
+	targetPicked bool
+	placeGen     uint32
+
+	seqLD    int
+	seqST    int
+	began    timing.PS // OFLDBEG issue time, for ack-latency accounting
+	cmdBytes int       // command-packet register payload, for transfer profiling
 	// ack holds an acknowledgment that arrived before the warp reached
 	// OFLD.END (the NSU can finish as soon as the last RDF response lands,
 	// while the GPU is still walking the block). It is applied when the
@@ -1208,8 +1216,17 @@ func (s *SM) coalesce(w *warp, in isa.Instr, mask uint32) []core.LineAccess {
 // target selection, then expands the access into line micro-ops. Returns
 // false if the warp must retry next cycle.
 func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
-	mask := w.effMask(in)
 	offload := w.off != nil
+	if offload && w.off.targetPicked && !w.off.targetKnown &&
+		w.off.placeGen == s.g.mem.PlacementGen() {
+		// Credit-rejected retry: the warp's pc, mask and registers are frozen
+		// while it waits and no page has moved, so coalescing would pick the
+		// same target again. Retry the reservation alone.
+		if !s.reserveTarget(w.off) {
+			return false
+		}
+	}
+	mask := w.effMask(in)
 	lines := s.coalesce(w, in, mask)
 
 	var seq, total int
@@ -1224,6 +1241,8 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 			}
 			s.homesScratch = homes
 			if s.g.flt != nil {
+				// Stack health changes with time, so the fault path picks
+				// afresh on every attempt.
 				ctx.target = core.SelectTargetHealthy(homes, s.g.cfg.NumHMCs,
 					func(t int) bool { return s.g.targetHealthy(now, t) })
 				if ctx.target < 0 {
@@ -1234,14 +1253,12 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 				}
 			} else {
 				ctx.target = core.SelectTarget(homes, s.g.cfg.NumHMCs)
+				ctx.targetPicked = true
+				ctx.placeGen = s.g.mem.PlacementGen()
 			}
-			if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
-				s.st.CreditStalls++
-				s.sawCreditBlock = true
+			if !s.reserveTarget(ctx) {
 				return false
 			}
-			ctx.targetKnown = true
-			s.flushPending(ctx)
 		}
 		if in.Op == isa.LD {
 			seq = ctx.seqLD
@@ -1309,6 +1326,20 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 	}
 	w.pc++
 	s.lsuUsed++ // issuing the instruction consumes the LSU this cycle
+	return true
+}
+
+// reserveTarget reserves the context's NDP buffers on its target NSU and
+// releases the pending command to the ready buffer (§4.3). A denied
+// reservation is a credit stall: the warp retries next cycle.
+func (s *SM) reserveTarget(ctx *offCtx) bool {
+	if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
+		s.st.CreditStalls++
+		s.sawCreditBlock = true
+		return false
+	}
+	ctx.targetKnown = true
+	s.flushPending(ctx)
 	return true
 }
 

@@ -3,13 +3,17 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+
+	"ndpgpu/internal/config"
 )
 
-// FuzzParseRunRequest: arbitrary bytes must never panic the parser, and any
-// accepted request must canonicalize stably — re-marshaling the wire struct
-// (which re-orders override keys) and re-parsing must reproduce the same
-// cache key. This is the property the memoization cache and every coalescing
-// client depend on.
+// FuzzParseRunRequest builds a RunRequest from arbitrary bytes, read as a
+// JSON spelling of its fields (workload, mode, scale, seed, overrides,
+// faults, and config fields laid over config.Default()), and fuzzes
+// Canonicalize with it. No input may panic Canonicalize, and any accepted
+// request must key stably: canonicalizing it again (override map iteration
+// order differs between calls) and canonicalizing its resolved form, the
+// spelling the ndpsweep -cache key uses, must both reproduce the key.
 func FuzzParseRunRequest(f *testing.F) {
 	seeds := []string{
 		`{"workload":"VADD"}`,
@@ -30,38 +34,40 @@ func FuzzParseRunRequest(f *testing.F) {
 		`null`,
 		`{"workload":"VADD","mode":"static=nan"}`,
 		`{"workload":"VADD","overrides":{"gpu.numsms":1e100}}`,
+		`{"workload":"VADD","config":{"GPU":{"NumSMs":-1}}}`,
+		`{"workload":"VADD","mode":"naive","config":{"GPU":{"NumSMs":4},"NSU":{"CmdEntries":1}}}`,
+		`{"workload":"VADD","overrides":{"GPU.NumSMs":8,"gpu.numsms":16}}`,
+		`{"workload":"VADD","faults":"meteor:t=0"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ParseRunRequest(data)
+		cfg := config.Default()
+		rr := RunRequest{Config: &cfg}
+		if err := json.Unmarshal(data, &rr); err != nil {
+			return // not a RunRequest spelling
+		}
+		req, err := Canonicalize(&rr)
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
 		if len(req.Key) != 64 {
 			t.Fatalf("accepted request has malformed key %q", req.Key)
 		}
-		// Round-trip: decode the original wire form, re-marshal (JSON sorts
-		// map keys, permuting override order), re-parse, compare keys.
-		var rr RunRequest
-		if err := json.Unmarshal(data, &rr); err != nil {
-			t.Fatalf("ParseRunRequest accepted what json.Unmarshal rejects: %v", err)
+		if again, err := Canonicalize(&rr); err != nil || again.Key != req.Key {
+			t.Fatalf("key not stable across calls: %v / %s vs %s", err, req.Key, again.Key)
 		}
-		re, err := json.Marshal(rr)
+		resolved, err := Canonicalize(&RunRequest{Workload: req.Workload, Mode: req.ModeSpec,
+			Scale: req.Scale, Config: &req.Cfg})
 		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
+			t.Fatalf("resolved form of an accepted request rejected: %v\ninput: %q", err, data)
 		}
-		req2, err := ParseRunRequest(re)
-		if err != nil {
-			t.Fatalf("re-marshaled request rejected: %v\noriginal: %q\nre-marshaled: %q", err, data, re)
+		if resolved.Key != req.Key {
+			t.Fatalf("resolved form changed the key:\ninput: %q\n%s -> %s", data, req.Key, resolved.Key)
 		}
-		if req2.Key != req.Key {
-			t.Fatalf("key changed across re-serialization:\noriginal: %q -> %s\nre-marshaled: %q -> %s",
-				data, req.Key, re, req2.Key)
-		}
-		// A parsed request is always internally consistent.
-		if req.Scale < 0 || req.Scale > MaxScale {
+		// An accepted request is always internally consistent.
+		if req.Scale < 1 || req.Scale > MaxScale {
 			t.Fatalf("accepted out-of-range scale %d", req.Scale)
 		}
 		if err := req.Cfg.Validate(); err != nil {

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/fault"
@@ -19,30 +16,26 @@ import (
 // scale is a request error, not a stalled run.
 const MaxScale = 1 << 20
 
-// RunRequest is the JSON form of one simulation request. All fields but
-// Workload are optional; unknown fields are rejected.
+// RunRequest names one simulation. All fields but Workload are optional.
 type RunRequest struct {
 	// Workload is the Table 1 abbreviation (VADD, BFS, ...).
-	Workload string `json:"workload"`
+	Workload string
 	// Mode is the CLI mode spelling (baseline|morecore|naive|static=<p>|
 	// dyn|dyncache); empty means baseline.
-	Mode string `json:"mode,omitempty"`
+	Mode string
 	// Scale is the problem-size scale factor; values below 1 mean 1.
-	Scale int `json:"scale,omitempty"`
+	Scale int
 	// Seed, when nonzero, overrides both the page-placement and the
 	// offload-decision PRNG seeds.
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 	// Overrides are named configuration knobs (config.KnownOverrides)
 	// applied on top of the base configuration in sorted key order.
-	Overrides map[string]float64 `json:"overrides,omitempty"`
+	Overrides map[string]float64
 	// Faults is a fault schedule in the -faults DSL (see internal/fault).
-	Faults string `json:"faults,omitempty"`
+	Faults string
 	// Config, when present, replaces config.Default() as the base the mode
-	// and overrides are applied to. Field names follow internal/config.
-	Config *config.Config `json:"config,omitempty"`
-	// Client is a free-form submitter label. It is carried through but
-	// never part of the key.
-	Client string `json:"client,omitempty"`
+	// and overrides are applied to.
+	Config *config.Config
 }
 
 // Request is the canonical, fully-resolved form of a RunRequest: the mode
@@ -56,29 +49,12 @@ type Request struct {
 	Mode     sim.Mode
 	Scale    int
 	Cfg      config.Config
-	Client   string
 	Key      string // hex SHA-256 over the canonical serialization
 }
 
-// ParseRunRequest decodes and canonicalizes one request body. Unknown or
-// trailing fields, unknown workloads/modes/overrides, malformed fault
-// schedules, and inconsistent configurations are all errors; no input panics.
-func ParseRunRequest(data []byte) (*Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rr RunRequest
-	if err := dec.Decode(&rr); err != nil {
-		return nil, fmt.Errorf("bad request JSON: %w", err)
-	}
-	// More() alone misses trailing bytes that are not a valid token start
-	// (a stray '}', say); require a clean EOF like strict json.Unmarshal.
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return nil, errors.New("trailing data after request object")
-	}
-	return Canonicalize(&rr)
-}
-
-// Canonicalize resolves a RunRequest into its canonical Request.
+// Canonicalize resolves a RunRequest into its canonical Request. Unknown
+// workloads/modes/overrides, malformed fault schedules, and inconsistent
+// configurations are all errors; no input panics.
 func Canonicalize(rr *RunRequest) (*Request, error) {
 	if rr.Workload == "" {
 		return nil, errors.New("missing workload")
@@ -126,7 +102,6 @@ func Canonicalize(rr *RunRequest) (*Request, error) {
 		Mode:     mode,
 		Scale:    max(rr.Scale, 1),
 		Cfg:      cfg,
-		Client:   rr.Client,
 	}
 	key, err := requestKey(req)
 	if err != nil {
@@ -140,9 +115,7 @@ func Canonicalize(rr *RunRequest) (*Request, error) {
 // folds in the seed, overrides, and fault schedule, so hashing it — plus the
 // workload, the normalized mode spelling (two specs with identical flags
 // still differ in the rewritten binary they select), and the scale — covers
-// every input that can change a result. The fairness Client is deliberately
-// excluded: identical runs from different clients share one execution and
-// one cache line.
+// every input that can change a result.
 func requestKey(r *Request) (string, error) {
 	cj, err := config.Canonical(r.Cfg)
 	if err != nil {

@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"ndpgpu/internal/config"
 )
 
-func TestParseRunRequestMinimal(t *testing.T) {
-	req, err := ParseRunRequest([]byte(`{"workload":"VADD"}`))
+func TestCanonicalizeMinimal(t *testing.T) {
+	req, err := Canonicalize(&RunRequest{Workload: "VADD"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,115 +28,80 @@ func TestParseRunRequestMinimal(t *testing.T) {
 	}
 }
 
-func TestParseRunRequestErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty object":       `{}`,
-		"malformed":          `{"workload":`,
-		"trailing garbage":   `{"workload":"VADD"} {"x":1}`,
-		"unknown field":      `{"workload":"VADD","wokload":"x"}`,
-		"unknown workload":   `{"workload":"NOPE"}`,
-		"unknown mode":       `{"workload":"VADD","mode":"turbo"}`,
-		"bad static ratio":   `{"workload":"VADD","mode":"static=1.5"}`,
-		"unknown override":   `{"workload":"VADD","overrides":{"gpu.nope":1}}`,
-		"fractional smcount": `{"workload":"VADD","overrides":{"gpu.numsms":2.5}}`,
-		"invalid config":     `{"workload":"VADD","overrides":{"gpu.numsms":-3}}`,
-		"bad faults":         `{"workload":"VADD","faults":"meteor:t=0"}`,
-		"negative scale":     `{"workload":"VADD","scale":-1}`,
-		"huge scale":         `{"workload":"VADD","scale":99999999}`,
-		"unknown cfg field":  `{"workload":"VADD","config":{"Bogus":1}}`,
+func TestCanonicalizeErrors(t *testing.T) {
+	cases := map[string]RunRequest{
+		"missing workload":   {},
+		"unknown workload":   {Workload: "NOPE"},
+		"unknown mode":       {Workload: "VADD", Mode: "turbo"},
+		"bad static ratio":   {Workload: "VADD", Mode: "static=1.5"},
+		"unknown override":   {Workload: "VADD", Overrides: map[string]float64{"gpu.nope": 1}},
+		"fractional smcount": {Workload: "VADD", Overrides: map[string]float64{"gpu.numsms": 2.5}},
+		"invalid config":     {Workload: "VADD", Overrides: map[string]float64{"gpu.numsms": -3}},
+		"bad faults":         {Workload: "VADD", Faults: "meteor:t=0"},
+		"negative scale":     {Workload: "VADD", Scale: -1},
+		"huge scale":         {Workload: "VADD", Scale: 99999999},
 	}
-	for name, body := range cases {
-		if _, err := ParseRunRequest([]byte(body)); err == nil {
-			t.Errorf("%s: accepted %s", name, body)
+	for name, rr := range cases {
+		if _, err := Canonicalize(&rr); err == nil {
+			t.Errorf("%s: accepted %+v", name, rr)
 		}
 	}
 }
 
 // TestCanonicalKeyOrderInsensitive pins the cache-key contract: override
-// order, mode spelling, and irrelevant fields (client) must not change the
-// key; anything that changes the simulation must.
+// order and mode spelling must not change the key; anything that changes
+// the simulation must.
 func TestCanonicalKeyOrderInsensitive(t *testing.T) {
-	key := func(body string) string {
+	key := func(rr RunRequest) string {
 		t.Helper()
-		req, err := ParseRunRequest([]byte(body))
+		req, err := Canonicalize(&rr)
 		if err != nil {
-			t.Fatalf("%s: %v", body, err)
+			t.Fatalf("%+v: %v", rr, err)
 		}
 		return req.Key
 	}
 
-	a := key(`{"workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8,"nsu.clockmhz":175}}`)
-	b := key(`{"workload":"VADD","mode":"dyn","overrides":{"nsu.clockmhz":175,"gpu.numsms":8}}`)
-	if a != b {
-		t.Fatal("override order changed the key")
+	// Go randomizes map iteration, so repeated calls visit the overrides
+	// in different orders.
+	ov := map[string]float64{"gpu.numsms": 8, "nsu.clockmhz": 175, "ndp.epochcycles": 2000}
+	a := key(RunRequest{Workload: "VADD", Mode: "dyn", Overrides: ov})
+	for i := 0; i < 20; i++ {
+		if b := key(RunRequest{Workload: "VADD", Mode: "dyn", Overrides: ov}); b != a {
+			t.Fatal("override order changed the key")
+		}
 	}
-	if c := key(`{"client":"alice","workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8,"nsu.clockmhz":175}}`); c != a {
-		t.Fatal("client identity leaked into the key")
-	}
-	if c := key(`{"workload":"VADD","mode":"static=0.50"}`); c != key(`{"workload":"VADD","mode":"static=0.5"}`) {
+	if key(RunRequest{Workload: "VADD", Mode: "static=0.50"}) != key(RunRequest{Workload: "VADD", Mode: "static=0.5"}) {
 		t.Fatal("static-ratio spelling changed the key")
 	}
-	if c := key(`{"workload":"VADD"}`); c != key(`{"workload":"VADD","mode":"baseline","scale":1}`) {
+	if key(RunRequest{Workload: "VADD"}) != key(RunRequest{Workload: "VADD", Mode: "baseline", Scale: 1}) {
 		t.Fatal("explicit defaults changed the key")
 	}
 
 	// Distinct runs must get distinct keys.
-	distinct := []string{
-		`{"workload":"VADD","mode":"dyn"}`,
-		`{"workload":"VADD","mode":"naive"}`,
-		`{"workload":"VADD","mode":"static=0"}`, // NDP machinery at ratio 0 != baseline
-		`{"workload":"BFS","mode":"dyn"}`,
-		`{"workload":"VADD","mode":"dyn","seed":7}`,
-		`{"workload":"VADD","mode":"dyn","scale":2}`,
-		`{"workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8}}`,
-		`{"workload":"VADD","mode":"dyn","faults":"drop:p=0.01;seed=3"}`,
+	distinct := []RunRequest{
+		{Workload: "VADD", Mode: "dyn"},
+		{Workload: "VADD", Mode: "naive"},
+		{Workload: "VADD", Mode: "static=0"}, // NDP machinery at ratio 0 != baseline
+		{Workload: "BFS", Mode: "dyn"},
+		{Workload: "VADD", Mode: "dyn", Seed: 7},
+		{Workload: "VADD", Mode: "dyn", Scale: 2},
+		{Workload: "VADD", Mode: "dyn", Overrides: map[string]float64{"gpu.numsms": 8}},
+		{Workload: "VADD", Mode: "dyn", Faults: "drop:p=0.01;seed=3"},
 	}
-	seen := map[string]string{}
-	for _, body := range distinct {
-		k := key(body)
+	seen := map[string]int{}
+	for i, rr := range distinct {
+		k := key(rr)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("key collision between %s and %s", prev, body)
+			t.Errorf("key collision between %+v and %+v", distinct[prev], rr)
 		}
-		seen[k] = body
+		seen[k] = i
 	}
 }
 
-// TestCanonicalizeMatchesReserialization: parsing a request, re-marshaling
-// the wire struct (which sorts map keys), and parsing again must preserve
-// the key — the round-trip every coalescing client relies on.
-func TestCanonicalizeMatchesReserialization(t *testing.T) {
-	body := `{"workload":"FWT","mode":"dyncache","seed":11,"scale":2,` +
-		`"overrides":{"nsu.clockmhz":700,"gpu.numsms":16,"ndp.epochcycles":2000},` +
-		`"faults":"linkdown:t=2000000:hmc=0:dim=1;drop:p=0.01;seed=7"}`
-	req1, err := ParseRunRequest([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rr RunRequest
-	if err := json.Unmarshal([]byte(body), &rr); err != nil {
-		t.Fatal(err)
-	}
-	re, err := json.Marshal(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req2, err := ParseRunRequest(re)
-	if err != nil {
-		t.Fatalf("re-marshaled request rejected: %v\n%s", err, re)
-	}
-	if req1.Key != req2.Key {
-		t.Fatalf("key changed across re-serialization:\n%s\n%s", req1.Key, req2.Key)
-	}
-}
-
-func TestParseRunRequestFullConfig(t *testing.T) {
+func TestCanonicalizeFullConfig(t *testing.T) {
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
-	body, err := json.Marshal(RunRequest{Workload: "VADD", Mode: "naive", Config: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := ParseRunRequest(body)
+	req, err := Canonicalize(&RunRequest{Workload: "VADD", Mode: "naive", Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +109,8 @@ func TestParseRunRequestFullConfig(t *testing.T) {
 		t.Fatalf("full config not honored: NumSMs = %d", req.Cfg.GPU.NumSMs)
 	}
 	// Same run spelled as default-config + override must share the key.
-	req2, err := ParseRunRequest([]byte(`{"workload":"VADD","mode":"naive","overrides":{"gpu.numsms":4}}`))
+	req2, err := Canonicalize(&RunRequest{Workload: "VADD", Mode: "naive",
+		Overrides: map[string]float64{"gpu.numsms": 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +119,9 @@ func TestParseRunRequestFullConfig(t *testing.T) {
 	}
 }
 
-func TestParseRunRequestSeedAndFaults(t *testing.T) {
-	req, err := ParseRunRequest([]byte(
-		`{"workload":"VADD","mode":"dyn","seed":9,"faults":"vaultfreeze:t=1000000:hmc=1:vault=5:dur=6000000;timeout=2000;retries=3"}`))
+func TestCanonicalizeSeedAndFaults(t *testing.T) {
+	req, err := Canonicalize(&RunRequest{Workload: "VADD", Mode: "dyn", Seed: 9,
+		Faults: "vaultfreeze:t=1000000:hmc=1:vault=5:dur=6000000;timeout=2000;retries=3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +136,8 @@ func TestParseRunRequestSeedAndFaults(t *testing.T) {
 	}
 }
 
-func TestParseRunRequestMoreCore(t *testing.T) {
-	req, err := ParseRunRequest([]byte(`{"workload":"VADD","mode":"morecore"}`))
+func TestCanonicalizeMoreCore(t *testing.T) {
+	req, err := Canonicalize(&RunRequest{Workload: "VADD", Mode: "morecore"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,24 +150,24 @@ func TestParseRunRequestMoreCore(t *testing.T) {
 	if req.ModeSpec != "baseline" {
 		t.Fatalf("morecore canonical spec = %q", req.ModeSpec)
 	}
-	plain, _ := ParseRunRequest([]byte(`{"workload":"VADD"}`))
+	plain, _ := Canonicalize(&RunRequest{Workload: "VADD"})
 	if req.Key == plain.Key {
 		t.Fatal("morecore and baseline share a key")
 	}
 }
 
 func TestRequestKeyStable(t *testing.T) {
-	// The key is part of the service's persistent cache contract; pin one
-	// so accidental canonicalization changes are loud. (Updating this pin
-	// is fine when intentional — it invalidates every cache, which a
-	// release note should mention.)
-	req, err := ParseRunRequest([]byte(`{"workload":"VADD"}`))
+	// The key is part of the run cache's persistent contract; pin one so
+	// accidental canonicalization changes are loud. (Updating this pin is
+	// fine when intentional — it invalidates every cache, which a release
+	// note should mention.)
+	req, err := Canonicalize(&RunRequest{Workload: "VADD"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _ := ParseRunRequest([]byte(`{"workload":"VADD"}`))
+	again, _ := Canonicalize(&RunRequest{Workload: "VADD"})
 	if req.Key != again.Key {
-		t.Fatal("key not deterministic across parses")
+		t.Fatal("key not deterministic across calls")
 	}
 	if !strings.EqualFold(req.Key, req.Key) || strings.ToLower(req.Key) != req.Key {
 		t.Fatal("key should be lower-case hex")

@@ -44,6 +44,8 @@ type System struct {
 	pageHMC []uint8
 	rng     *rand.Rand
 	seed    int64 // placement seed, kept so Clone can rebuild an rng
+
+	placeGen uint32 // PlacePage calls so far, modulo 2^32
 }
 
 // heapBase is the first virtual address handed out; keeps address 0 invalid.
@@ -182,7 +184,13 @@ func (s *System) PlacePage(addr uint64, hmc int) {
 	}
 	s.ensure(addr + 1)
 	s.pageHMC[addr/uint64(s.pageBytes)] = uint8(hmc)
+	s.placeGen++
 }
+
+// PlacementGen counts the PlacePage calls so far, modulo 2^32. A result
+// derived from HMCOf stays valid while the count is unchanged (short of
+// exactly 2^32 page moves in between).
+func (s *System) PlacementGen() uint32 { return s.placeGen }
 
 // NumHMCs returns the number of stacks.
 func (s *System) NumHMCs() int { return s.numHMCs }
