@@ -26,7 +26,8 @@
 // experiments still run (dependents of the failed one are skipped), a
 // FAILURES section lists every error, and the exit status is nonzero. A
 // run that panics is reported as its experiment's error. An unknown -exp
-// name or an unusable -cache directory exits with status 2.
+// name, a -scale outside [0, 1<<20] or an unusable -cache directory exits
+// with status 2.
 package main
 
 import (
@@ -76,6 +77,10 @@ var leafExps = []leafExp{
 	{"topology", experiments.TopologyAblation},
 }
 
+// maxScale bounds -scale: a runaway problem size is a usage error, not a
+// sweep that never finishes.
+const maxScale = 1 << 20
+
 // knownExps returns every accepted -exp value, sorted.
 func knownExps() []string {
 	names := []string{"all", "table1", "table2", "overhead", "fig5",
@@ -124,6 +129,10 @@ func run(args []string, w, werr io.Writer) int {
 	if !valid {
 		fmt.Fprintf(werr, "ndpsweep: unknown experiment %q (valid: %s)\n",
 			*exp, strings.Join(knownExps(), " "))
+		return 2
+	}
+	if *scale < 0 || *scale > maxScale {
+		fmt.Fprintf(werr, "ndpsweep: -scale %d out of range [0,%d]\n", *scale, maxScale)
 		return 2
 	}
 

@@ -68,6 +68,29 @@ func TestFig5Succeeds(t *testing.T) {
 	}
 }
 
+// TestScaleOutOfRangeExits2: -scale is the only outside source of a run's
+// problem size, so a negative or runaway value is a usage error before any
+// experiment runs, with or without -cache.
+func TestScaleOutOfRangeExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "-1", "-exp", "fig5"},
+		{"-scale", "1048577", "-exp", "fig5"},
+		{"-scale", "99999999", "-exp", "fig5", "-cache", t.TempDir()},
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(args, &out, &errBuf); code != 2 {
+			t.Fatalf("%v: exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(errBuf.String(), "-scale") || out.Len() != 0 {
+			t.Fatalf("%v: stderr %q, stdout %q", args, errBuf.String(), out.String())
+		}
+	}
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-scale", "0", "-exp", "fig5"}, &out, &errBuf); code != 0 {
+		t.Fatalf("-scale 0: exit = %d, want 0\nstderr: %s", code, errBuf.String())
+	}
+}
+
 // TestBadFlagExits2 checks flag-parse failures also land on exit 2.
 func TestBadFlagExits2(t *testing.T) {
 	var out, errBuf bytes.Buffer

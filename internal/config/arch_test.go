@@ -29,20 +29,3 @@ func TestArchValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestArchOverrideKnobs(t *testing.T) {
-	c := Default()
-	c.Arch.StackXlat = true
-	if err := ApplyOverrides(&c, map[string]float64{
-		"arch.stacktlbentries": 64,
-		"arch.stackwalkcycles": 12,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Arch.EffStackTLBEntries() != 64 || c.Arch.EffStackWalkCycles() != 12 {
-		t.Fatalf("arch overrides not applied: %+v", c.Arch)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("overridden config invalid: %v", err)
-	}
-}

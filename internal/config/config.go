@@ -8,6 +8,7 @@
 package config
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -340,7 +341,8 @@ func (f FaultConfig) Validate(numHMCs, numVaults int) error {
 			return fmt.Errorf("unknown fault kind %q", e.Kind)
 		}
 	}
-	if f.DropProb < 0 || f.DropProb > 1 || f.CorruptProb < 0 || f.CorruptProb > 1 {
+	// Written so that NaN fails the check too.
+	if !(f.DropProb >= 0 && f.DropProb <= 1) || !(f.CorruptProb >= 0 && f.CorruptProb <= 1) {
 		return errors.New("fault drop/corrupt probabilities must be in [0,1]")
 	}
 	return nil
@@ -548,6 +550,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("Parallel=%d: the engine is serial (only 0 and 1 are accepted); use ndpsweep -j to spread runs across cores", c.Parallel)
 	}
 	return nil
+}
+
+// Canonical serializes the configuration deterministically for digesting
+// (the ndpsweep -cache run key): Config is a tree of plain structs and
+// slices (no maps), so encoding/json's fixed field order makes the bytes a
+// pure function of the values.
+func Canonical(c Config) ([]byte, error) {
+	return json.Marshal(c)
 }
 
 // LineBytes returns the system-wide cache line / memory access granularity.

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,30 @@ func TestSetsAlwaysDividesSize(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCanonicalDeterministic(t *testing.T) {
+	a := Default()
+	b := Default()
+	// Same resolved config, whatever order the values were set in.
+	a.GPU.NumSMs = 4
+	a.NSU.ClockMHz = 175
+	b.NSU.ClockMHz = 175
+	b.GPU.NumSMs = 4
+	ca, err := Canonical(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := Canonical(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ca, cb) {
+		t.Fatalf("canonical bytes differ for identical configs:\n%s\n%s", ca, cb)
+	}
+	cd, _ := Canonical(Default())
+	if bytes.Equal(ca, cd) {
+		t.Fatal("canonical bytes identical for different configs")
 	}
 }

@@ -12,22 +12,20 @@ import (
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/energy"
-	"ndpgpu/internal/serve"
 	"ndpgpu/internal/sim"
 	"ndpgpu/internal/timing"
 )
 
-// runCache memoizes completed runs by the content digest of their canonical
-// request (serve.Canonicalize) in a CRC-32C journal (serve.Journal), so a
-// re-sweep of already-simulated points costs a map lookup per point. Errors
-// are never memoized.
+// runCache memoizes completed runs by their content digest (runKey) in a
+// CRC-32C journal (journal.go), so a re-sweep of already-simulated points
+// costs a map lookup per point. Errors are never memoized.
 type runCache struct {
-	j *serve.Journal
+	j *journal
 	// simulate runs a miss: RunOneWith, or a stub that fails in tests.
 	simulate func(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run
 
 	mu   sync.Mutex
-	memo map[string]*serve.Outcome
+	memo map[string]*outcome
 }
 
 // cache is the open run cache, or nil. Like Jobs it is set before
@@ -37,8 +35,8 @@ var cache *runCache
 // UseCache opens the run cache under dir and routes every later RunOne
 // through it. Results live in a subdirectory named by the SHA-256 of the
 // running executable, so a rebuilt simulator — whose timing may differ —
-// starts cold instead of serving an older build's numbers. The returned
-// function flushes the journal and closes the cache.
+// starts cold instead of serving an older build's numbers. Every result is
+// durable before RunOne returns; the returned function closes the cache.
 func UseCache(dir string) (closeCache func() error, err error) {
 	id, err := buildID()
 	if err != nil {
@@ -52,13 +50,8 @@ func CacheOpen() bool { return cache != nil }
 
 // useCache is UseCache with an explicit build identity.
 func useCache(dir, id string) (func() error, error) {
-	j, err := serve.OpenJournal(filepath.Join(dir, id))
+	j, memo, err := openJournal(filepath.Join(dir, id))
 	if err != nil {
-		return nil, err
-	}
-	memo, _, err := j.Replay()
-	if err != nil {
-		j.Close()
 		return nil, err
 	}
 	c := &runCache{j: j, memo: memo, simulate: func(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run {
@@ -67,7 +60,7 @@ func useCache(dir, id string) (func() error, error) {
 	cache = c
 	return func() error {
 		cache = nil
-		return c.j.Close()
+		return c.j.close()
 	}, nil
 }
 
@@ -89,25 +82,36 @@ func buildID() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// runKey is the key a run is memoized under: the hex SHA-256 of the
+// workload, the mode's canonical spelling (two modes with identical flags
+// still differ in the rewritten binary they select), the scale, and the
+// fully resolved configuration, which covers every other input that can
+// change a result. The "ndpserve-req-v1" tag is the key's version.
+func runKey(abbr string, mode sim.Mode, scale int, cfg config.Config) (string, error) {
+	cj, err := config.Canonical(cfg)
+	if err != nil {
+		return "", fmt.Errorf("canonicalize config: %w", err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "ndpserve-req-v1|%s|%s|%d|", abbr, sim.SpecFor(mode), max(scale, 1))
+	h.Write(cj)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // run answers one RunOne from the memo, or simulates it and journals the
-// result before returning. The key is the request an HTTP client of the
-// retired service sent: the full resolved Config plus the mode's canonical
-// spelling.
+// result before returning.
 func (c *runCache) run(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run {
 	start := time.Now()
-	req, err := serve.Canonicalize(&serve.RunRequest{
-		Workload: abbr, Mode: sim.SpecFor(mode), Scale: scale, Config: &cfg})
+	key, err := runKey(abbr, mode, scale, cfg)
 	if err != nil {
 		return &Run{Workload: abbr, Mode: mode.Name, Cfg: cfg,
 			Err: fmt.Errorf("%s/%s: run cache key: %w", abbr, mode.Name, err)}
 	}
 	c.mu.Lock()
-	out := c.memo[req.Key]
+	out := c.memo[key]
 	c.mu.Unlock()
 	if out != nil {
 		tally.hits.Add(1)
-		// Energy is a pure function of (stats, config, mode), so it is
-		// recomputed rather than stored.
 		return &Run{Workload: abbr, Mode: mode.Name, Cfg: cfg, Stats: out.Stats,
 			TimePS: timing.PS(out.TimePS), Wall: time.Since(start),
 			Energy: energy.Compute(out.Stats, cfg, energy.DefaultParams(), mode.NDP)}
@@ -117,19 +121,15 @@ func (c *runCache) run(cfg config.Config, abbr string, mode sim.Mode, scale int)
 	if run.Err != nil {
 		return run
 	}
-	d := run.Stats.Digest()
-	d["TimePS"] = float64(run.TimePS)
-	d["EnergyTotalPJ"] = run.Energy.Total()
-	out = &serve.Outcome{Digest: d, Stats: run.Stats, TimePS: int64(run.TimePS),
-		EnergyPJ: run.Energy.Total(), Wall: run.Wall}
+	out = &outcome{Stats: run.Stats, TimePS: int64(run.TimePS)}
 	c.mu.Lock()
-	_, raced := c.memo[req.Key] // a concurrent miss of the same key got here first
+	_, raced := c.memo[key] // a concurrent miss of the same key got here first
 	if !raced {
-		c.memo[req.Key] = out
+		c.memo[key] = out
 	}
 	c.mu.Unlock()
 	if !raced {
-		if err := c.j.Append(req.Key, out); err != nil {
+		if err := c.j.append(key, out); err != nil {
 			run.Err = fmt.Errorf("%s/%s: run cache: %w", abbr, mode.Name, err)
 		}
 	}

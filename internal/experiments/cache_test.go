@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ndpgpu/internal/config"
-	"ndpgpu/internal/serve"
 	"ndpgpu/internal/sim"
 )
 
@@ -118,13 +120,13 @@ func TestRunCacheErrorNotMemoized(t *testing.T) {
 	}
 	done()
 
-	j, err := serve.OpenJournal(filepath.Join(dir, "build-a"))
+	j, memo, err := openJournal(filepath.Join(dir, "build-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if _, st, err := j.Replay(); err != nil || st.Records != 0 {
-		t.Fatalf("journal holds %d records (err %v), want 0", st.Records, err)
+	j.close()
+	if len(memo) != 0 {
+		t.Fatalf("journal holds %d records, want 0", len(memo))
 	}
 
 	// A request the cache cannot key is an error too, before any run.
@@ -191,17 +193,8 @@ func TestRunCacheConcurrentMisses(t *testing.T) {
 	}
 	done()
 
-	j, err := serve.OpenJournal(filepath.Join(dir, "build-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	out, st, err := j.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(modes) || st.Duplicates != 0 {
-		t.Fatalf("journal: %d keys, %d duplicates; want %d and 0", len(out), st.Duplicates, len(modes))
+	if n := countRecords(t, filepath.Join(dir, "build-a")); n != len(modes) {
+		t.Fatalf("journal holds %d records, want one per key (%d)", n, len(modes))
 	}
 }
 
@@ -219,5 +212,86 @@ func TestRunAllRecoversPanic(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "VADD/Baseline: panic:") || !strings.Contains(msg, "goroutine") {
 		t.Fatalf("error lacks the panic or its stack: %v", err)
+	}
+}
+
+// TestServedDigestsMatchGolden is the deterministic-cache property test:
+// "cached digest == fresh run digest". A cold pass over every tier-1
+// workload x golden mode through the run cache (ndpsweep -cache) must
+// produce digests byte-identical to the committed regression file
+// (testdata/golden_digests.json). Reopening the same cache directory — a
+// new process, as far as the journal can tell — and repeating the pass
+// must simulate nothing and serve the same digests from the journal.
+func TestServedDigestsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full golden matrix on the real simulator")
+	}
+
+	data, err := os.ReadFile("../../testdata/golden_digests.json")
+	if err != nil {
+		t.Fatalf("reading golden digests: %v", err)
+	}
+	var golden map[string]map[string]float64
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+
+	// The golden file is computed with the audit configuration at scale 1
+	// (cmd/ndpreport golden).
+	cfg := sim.AuditConfig()
+	modes := []sim.Mode{sim.Baseline, sim.NaiveNDP, sim.DynNDP}
+	dir := t.TempDir()
+
+	pass := func(name string) (simulated, hits int64) {
+		t.Helper()
+		done := openTestCache(t, dir, "build-a")
+		defer done()
+		start := time.Now()
+		simulated, hits = tallyDelta(func() {
+			for _, wl := range Workloads() {
+				for _, m := range modes {
+					want, ok := golden[GoldenKey(wl, m.Name)]
+					if !ok {
+						t.Fatalf("golden file has no entry for %s|%s", wl, m.Name)
+					}
+					run := mustRun(t, cfg, wl, m)
+					d := run.Stats.Digest()
+					d["TimePS"] = float64(run.TimePS)
+					d["EnergyTotalPJ"] = run.Energy.Total()
+					diffDigest(t, name+" "+wl+"/"+m.Name, d, want)
+				}
+			}
+		})
+		t.Logf("%s pass: %d simulated, %d cache hits in %v", name, simulated, hits, time.Since(start))
+		return simulated, hits
+	}
+
+	legs := int64(len(Workloads()) * len(modes))
+	if simulated, hits := pass("cold"); simulated != legs || hits != 0 {
+		t.Fatalf("cold pass: %d simulated, %d cache hits; want %d and 0", simulated, hits, legs)
+	}
+	if simulated, hits := pass("warm"); simulated != 0 || hits != legs {
+		t.Fatalf("warm pass: %d simulated, %d cache hits; want 0 and %d", simulated, hits, legs)
+	}
+}
+
+// diffDigest asserts two digests are identical, reporting every divergent
+// counter rather than the first.
+func diffDigest(t *testing.T, leg string, got, want map[string]float64) {
+	t.Helper()
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Errorf("%s: digest missing %s", leg, k)
+			continue
+		}
+		if g != w {
+			t.Errorf("%s: %s = %v, want %v", leg, k, g, w)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: digest has unexpected key %s", leg, k)
+		}
 	}
 }

@@ -124,6 +124,8 @@ func TestParseErrors(t *testing.T) {
 		"vaultfreeze:t=1:hmc=0:vault=0",        // freeze must be windowed
 		"drop",                                 // missing p
 		"drop:p=1.5",                           // probability out of [0,1]
+		"drop:p=nan",                           // NaN is not in [0,1]
+		"corrupt:p=nan",                        // NaN is not in [0,1]
 		"corrupt:p=abc",                        // bad float
 		"seed=xyz",                             // bad seed
 		"timeout=0",                            // timeout must be positive

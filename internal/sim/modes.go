@@ -33,7 +33,7 @@ func ParseMode(name string, cfg config.Config) (Mode, config.Config, error) {
 		return DynCache, cfg, nil
 	case strings.HasPrefix(name, "static="):
 		p, err := strconv.ParseFloat(strings.TrimPrefix(name, "static="), 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails too
 			return Mode{}, cfg, fmt.Errorf("bad static ratio %q: want static=<p> with p in [0,1]", name)
 		}
 		return StaticNDP(p), cfg, nil
@@ -43,12 +43,10 @@ func ParseMode(name string, cfg config.Config) (Mode, config.Config, error) {
 }
 
 // SpecFor maps a Mode back to a CLI spelling ParseMode accepts, keyed purely
-// by the mode's mechanism flags — the inverse the ndpsweep -cache key uses to
-// spell a locally-constructed Mode as a run request. Display names are not
-// round-tripped ("Baseline_MoreCore" maps to "baseline": its SM-count
-// adjustment lives in the Config the request carries, and re-spelling it
-// "morecore" would apply the adjustment a second time when the request is
-// canonicalized).
+// by the mode's mechanism flags; the ndpsweep -cache run key spells the mode
+// this way. Display names are not round-tripped ("Baseline_MoreCore" maps to
+// "baseline": its SM-count adjustment already lives in the run's Config, and
+// re-parsing "morecore" over that Config would apply it a second time).
 func SpecFor(m Mode) string {
 	switch {
 	case !m.NDP:
